@@ -1,15 +1,23 @@
-"""E16 — the cost-based planner: ``engine="auto"`` vs fixed backtracking.
+"""E16 — the cost-based planner: ``engine="auto"`` against every engine.
 
-Regenerates the planner's headline table: on the acyclic / low-treewidth
-slice of the workload (paths, trees, thin cycles — the shapes the
-paper's gadget families are made of), ``auto`` routes components to the
-Yannakakis or tree-decomposition engine and pulls away from a fixed
-backtracking choice as instances grow, while remaining bit-identical.
+Two tables, one artifact:
+
+* **Acyclic slice** (paths and trees on sparse random graphs, the shapes
+  the paper's gadget families are made of): ``auto`` against a fixed
+  backtracking choice as instances grow, at bit-identical counts.
+* **Regret** — ``auto`` against the fastest *eligible* engine, per cell,
+  in both regimes of the cost model: cyclic shapes on sparse graphs,
+  where the compiled chain wins by 50–100× over the tree-decomposition
+  DP, and a long cycle on a dense graph, where the DP wins.  Every
+  eligible engine gets a best-of-3 cold time (compiled artifacts are
+  evicted before each run, so the one-time index build is paid, as on a
+  fresh database).  The gate: every cell's ``auto`` time is at most 3×
+  its fastest engine, and Σauto / Σbest is at most 1.5 — a cost-model
+  change that brings back a 40× pick fails here.
 
 The run emits ``benchmarks/BENCH_planner.json`` (path overridable via the
-``BENCH_PLANNER`` environment variable): one record per (shape, size)
-cell with both latencies, the speedup, and the engine the planner chose —
-the artifact CI uploads and the repository checks in.
+``BENCH_PLANNER`` environment variable): ``rows`` holds the acyclic
+slice, ``regret`` the per-cell engine times, picks and ratios.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ import random
 import time
 
 from repro.homomorphism import count
-from repro.planner import PlanCache, plan
+from repro.planner import PlanCache, default_plan_cache, eligible_engines, plan
 from repro.queries import parse_query
 from repro.relational import Schema, Structure
 from repro.workloads import path_query
@@ -34,13 +42,63 @@ WORKLOAD = {
     "tree-5": TREE_QUERY,
 }
 
+GRAPH = Schema.from_arities({"E": 2})
+
+#: Per-cell gate and aggregate gate of the regret table.
+MAX_CELL_REGRET = 3.0
+MAX_TOTAL_REGRET = 1.5
+#: A slow engine stops repeating once it has used this much time: a
+#: losing engine's time only has to be clearly worse, not precise.
+SLOW_ENGINE_BUDGET_S = 1.0
+
+
+def _cycle(k: int):
+    return parse_query(
+        " & ".join(f"E(x{i}, x{(i + 1) % k})" for i in range(k))
+    )
+
+
+BOWTIE = parse_query(
+    "E(a, b) & E(b, c) & E(c, a) & E(a, d) & E(d, e) & E(e, a)"
+)
+
 
 def _graph(n: int, seed: int = 0) -> Structure:
     rng = random.Random(seed)
     edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)}
-    return Structure(
-        Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n)
-    )
+    return Structure(GRAPH, {"E": edges}, domain=range(n))
+
+
+def _sparse_graph(n: int, seed: int) -> Structure:
+    """``n`` vertices, ``3n`` distinct directed non-loop edges."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 3 * n:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            edges.add((a, b))
+    return Structure(GRAPH, {"E": edges}, domain=range(n))
+
+
+def _dense_graph(n: int, seed: int, p: float = 0.5) -> Structure:
+    """Erdős–Rényi directed graph on ``n`` vertices, no loops."""
+    rng = random.Random(seed)
+    edges = [
+        (a, b) for a in range(n) for b in range(n) if a != b and rng.random() < p
+    ]
+    return Structure(GRAPH, {"E": edges}, domain=range(n))
+
+
+#: (cell, query, structure): both regimes of the cost model.
+REGRET_CELLS = (
+    ("path-6/sparse64", path_query(6), _graph(64)),
+    ("tree-5/sparse64", TREE_QUERY, _graph(64)),
+    ("cycle-5/sparse40", _cycle(5), _sparse_graph(40, 1)),
+    ("bowtie/sparse40", BOWTIE, _sparse_graph(40, 2)),
+    ("cycle-5/dense12", _cycle(5), _dense_graph(12, 3)),
+    ("bowtie/dense12", BOWTIE, _dense_graph(12, 4)),
+    ("cycle-10/dense10", _cycle(10), _dense_graph(10, 0)),
+)
 
 
 def _time_count(query, graph, engine: str, repeats: int = 3) -> tuple[int, float]:
@@ -52,6 +110,41 @@ def _time_count(query, graph, engine: str, repeats: int = 3) -> tuple[int, float
         value = count(query, graph, engine=engine)
         best = min(best, (time.perf_counter() - t0) * 1000)
     return value, best
+
+
+def _cold_time(query, graph, engine: str, repeats: int = 3) -> tuple[int, float]:
+    """Best-of-``repeats`` cold latency (ms): compiled artifacts evicted first.
+
+    Stops repeating once the runs so far exceed
+    :data:`SLOW_ENGINE_BUDGET_S`.
+    """
+    best = float("inf")
+    spent = 0.0
+    value = None
+    for _ in range(repeats):
+        default_plan_cache().invalidate_relations(graph.schema.relation_names)
+        t0 = time.perf_counter()
+        value = count(query, graph, engine=engine)
+        elapsed = time.perf_counter() - t0
+        best = min(best, elapsed * 1000)
+        spent += elapsed
+        if spent > SLOW_ENGINE_BUDGET_S:
+            break
+    return value, best
+
+
+def _write_artifact(key: str, value) -> None:
+    """Set one top-level key of the E16 artifact, keeping the others."""
+    artifact = os.environ.get("BENCH_PLANNER", "benchmarks/BENCH_planner.json")
+    payload: dict = {}
+    if os.path.exists(artifact):
+        with open(artifact, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    payload["experiment"] = "E16"
+    payload[key] = value
+    with open(artifact, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def _rows() -> tuple[list[list], list[dict]]:
@@ -104,13 +197,78 @@ def test_e16_planner_auto_vs_backtracking(benchmark):
     assert largest and all(record["speedup"] >= 2.0 for record in largest), (
         largest
     )
-
-    artifact = os.environ.get("BENCH_PLANNER", "benchmarks/BENCH_planner.json")
-    with open(artifact, "w", encoding="utf-8") as handle:
-        json.dump({"experiment": "E16", "rows": records}, handle, indent=2)
-        handle.write("\n")
+    _write_artifact("rows", records)
 
     graph = _graph(64)
     query = WORKLOAD["path-6"]
     result = benchmark(count, query, graph, engine="auto")
     assert result == count(query, graph, engine="backtracking")
+
+
+def test_e16_planner_regret():
+    rows: list[list] = []
+    cells: list[dict] = []
+    for name, query, graph in REGRET_CELLS:
+        [step] = plan(query, graph, cache=PlanCache()).steps
+        engines = eligible_engines(query, step.profile, graph)
+        times: dict[str, float] = {}
+        values = set()
+        for engine in engines:
+            value, millis = _cold_time(query, graph, engine)
+            times[engine] = millis
+            values.add(value)
+        auto_value, auto_ms = _cold_time(query, graph, "auto")
+        values.add(auto_value)
+        fastest = min(times, key=times.get)
+        cells.append(
+            {
+                "cell": name,
+                "picked": step.engine,
+                "est_cost": step.est_cost,
+                "est_nodes": step.est_nodes,
+                "fastest": fastest,
+                "auto_ms": round(auto_ms, 3),
+                "best_ms": round(times[fastest], 3),
+                "engine_ms": {e: round(t, 3) for e, t in sorted(times.items())},
+                "regret": round(auto_ms / times[fastest], 3),
+                "count": auto_value,
+                "agree": len(values) == 1,
+            }
+        )
+        rows.append(
+            [
+                name,
+                step.engine,
+                f"{auto_ms:.1f}",
+                fastest,
+                f"{times[fastest]:.1f}",
+                f"{auto_ms / times[fastest]:.2f}",
+                "  ".join(f"{e}={t:.1f}" for e, t in sorted(times.items())),
+            ]
+        )
+    total_auto = sum(cell["auto_ms"] for cell in cells)
+    total_best = sum(cell["best_ms"] for cell in cells)
+    ratio = total_auto / total_best
+    print_table(
+        "E16 — planner regret: auto against the fastest eligible engine (cold ms)",
+        ["cell", "auto picks", "auto ms", "fastest", "fastest ms", "regret", "every engine ms"],
+        rows,
+    )
+    print(f"Σauto = {total_auto:.1f} ms, Σbest = {total_best:.1f} ms, "
+          f"ratio = {ratio:.2f}")
+    _write_artifact(
+        "regret",
+        {
+            "cells": cells,
+            "sum_auto_ms": round(total_auto, 3),
+            "sum_best_ms": round(total_best, 3),
+            "ratio": round(ratio, 3),
+            "max_cell_regret": MAX_CELL_REGRET,
+            "max_total_regret": MAX_TOTAL_REGRET,
+            "cpus": os.cpu_count(),
+        },
+    )
+    assert all(cell["agree"] for cell in cells), cells
+    worst = max(cells, key=lambda cell: cell["regret"])
+    assert worst["regret"] <= MAX_CELL_REGRET, worst
+    assert ratio <= MAX_TOTAL_REGRET, (ratio, cells)

@@ -20,12 +20,15 @@ Subcommands::
         every connected component through the repro.planner cost model.
 
     bagcq explain --query "E(x,y) & E(y,z)" [--facts "E(a,b) E(b,c)"] [--json]
+            [--analyze]
         Print the evaluation plan the ``auto`` engine would execute:
-        connected components, the engine and cost estimate chosen for
-        each, and plan-cache hit/miss totals.  Without ``--facts`` the
-        query is planned against its own canonical database; ``--json``
-        emits the machine-readable plan (identical to the service's
-        ``/explain`` payload).
+        connected components, the engine, cost and search-node estimates
+        chosen for each, and plan-cache hit/miss totals.  Without
+        ``--facts`` the query is planned against its own canonical
+        database; ``--json`` emits the machine-readable plan (identical to
+        the service's ``/explain`` payload).  ``--analyze`` also runs every
+        step on its planned engine and reports actual ms and count next to
+        the estimates.
 
     bagcq update --facts "E(a,b) E(b,c)" --query "E(x,y) & E(y,z)" \\
             --insert "E(c,a)" [--delete "E(a,b)"] [--delta-file deltas.json]
@@ -253,15 +256,45 @@ def _command_explain(args: argparse.Namespace) -> int:
     # A fresh cache keeps the hit/miss line meaningful for this query
     # alone: repeated components hit, everything else misses.
     chosen = plan(query, structure, cache=PlanCache())
+    actuals = _run_plan_steps(chosen, structure) if args.analyze else None
     if args.json:
         from repro.obs.report import stable_json_dumps
 
-        print(stable_json_dumps(chosen.to_dict()))
+        payload = chosen.to_dict()
+        for step, (value, millis) in zip(payload["steps"], actuals or ()):
+            step["count"] = value
+            step["actual_ms"] = millis
+        print(stable_json_dumps(payload))
         return 0
     print(f"query: {query}")
     print(f"planned against: {source}, |domain| = {len(structure.domain)}")
     print(chosen.explain())
+    if actuals is not None:
+        print("analyze (each step run once on its planned engine):")
+        for index, (step, (value, millis)) in enumerate(
+            zip(chosen.steps, actuals), start=1
+        ):
+            nodes = "-" if step.est_nodes is None else f"{step.est_nodes:.0f}"
+            print(
+                f"  step {index}: engine={step.engine:<12} "
+                f"est_cost={step.est_cost:>12.0f}  est_nodes={nodes:>10}  "
+                f"actual_ms={millis:>10.3f}  count={value}"
+            )
     return 0
+
+
+def _run_plan_steps(chosen, structure) -> list[tuple[int, float]]:
+    """``(count, wall ms)`` per plan step, each run on its planned engine."""
+    import time
+
+    from repro.homomorphism.engine import count
+
+    actuals = []
+    for step in chosen.steps:
+        started = time.perf_counter()
+        value = count(step.component, structure, engine=step.engine)
+        actuals.append((value, (time.perf_counter() - started) * 1000.0))
+    return actuals
 
 
 def _parse_deltas(args: argparse.Namespace):
@@ -859,6 +892,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the machine-readable plan (the same stable JSON the "
         "service /explain endpoint returns)",
+    )
+    explain_parser.add_argument(
+        "--analyze",
+        action="store_true",
+        help="also run every step on its planned engine and report the "
+        "actual wall time and count next to the estimates",
     )
     explain_parser.set_defaults(handler=_command_explain)
 

@@ -57,6 +57,7 @@ __all__ = [
     "compile_component",
     "compiled_supported",
     "count_homomorphisms_compiled",
+    "greedy_atom_order",
     "refresh_component",
 ]
 
@@ -309,34 +310,46 @@ def _compile_acyclic(
 # -- cyclic components: baked closure chains ----------------------------------
 
 
-def _order_atoms(query: ConjunctiveQuery, structure: Structure) -> list:
-    """A static join order: connected-first, small relations early.
+def greedy_atom_order(
+    atom_variables: list[set], sizes: list[int]
+) -> list[int]:
+    """Atom indices in the chain's static join order.
 
     A greedy stand-in for the interpreter's dynamic fail-first selection:
     start from the atom with the fewest facts, then repeatedly take the
     atom with the most already-bound variables (maximally constrained ⇒
     smallest candidate buckets), breaking ties towards smaller relations
-    and finally towards the query's stored atom order, which keeps the
-    choice deterministic across α-equivalent copies.
+    and finally towards the lower index.  The planner's chain estimate
+    (:func:`repro.planner.cost.chain_nodes`) walks the same order.
     """
-    remaining = list(range(len(query.atoms)))
-    atoms = list(query.atoms)
-    fact_counts = [len(_facts_of(structure, atom.relation)) for atom in atoms]
-    atom_vars = [set(atom.variables()) for atom in atoms]
-    bound: set[Variable] = set()
+    remaining = list(range(len(atom_variables)))
+    bound: set = set()
     order: list[int] = []
     while remaining:
-        best = min(
-            remaining,
-            key=lambda index: (
-                -len(atom_vars[index] & bound),
-                fact_counts[index],
-                index,
-            ),
-        )
+        # Strict ``<`` over ascending indices keeps the lowest on ties.
+        best = remaining[0]
+        best_key = (-len(atom_variables[best] & bound), sizes[best])
+        for index in remaining[1:]:
+            key = (-len(atom_variables[index] & bound), sizes[index])
+            if key < best_key:
+                best, best_key = index, key
         remaining.remove(best)
-        bound |= atom_vars[best]
+        bound |= atom_variables[best]
         order.append(best)
+    return order
+
+
+def _order_atoms(query: ConjunctiveQuery, structure: Structure) -> list:
+    """:func:`greedy_atom_order` over the query's stored atom order, which
+    keeps the choice deterministic across α-equivalent copies."""
+    atoms = list(query.atoms)
+    sizes = [
+        structure.fact_count(atom.relation)
+        if atom.relation in structure.schema
+        else 0
+        for atom in atoms
+    ]
+    order = greedy_atom_order([set(atom.variables()) for atom in atoms], sizes)
     return [atoms[index] for index in order]
 
 

@@ -27,7 +27,29 @@ from repro.planner import CostConstants, analyze_component, fit_constants
 from repro.planner.cost import eligible_engines, estimate_visits
 from repro.qa.generators import case_at
 
-__all__ = ["calibrate", "collect_samples"]
+__all__ = ["calibrate", "case_visits", "collect_samples"]
+
+
+def case_visits(query, structure) -> dict[str, float]:
+    """Per engine safe for *every* component, the summed visit estimate.
+
+    A forced engine runs the whole query, so only engines eligible on
+    every connected component are priced.  Each component's visits are
+    exactly what :func:`repro.planner.select_engine` scores it with,
+    fanout-chain statistics of ``structure`` included.
+    """
+    components = query.connected_components()
+    profiles = [analyze_component(component) for component in components]
+    safe: set[str] | None = None
+    for component, profile in zip(components, profiles):
+        engines = set(eligible_engines(component, profile, structure))
+        safe = engines if safe is None else safe & engines
+    return {
+        engine: sum(
+            estimate_visits(engine, profile, structure) for profile in profiles
+        )
+        for engine in sorted(safe or ())
+    }
 
 
 def collect_samples(
@@ -53,21 +75,7 @@ def collect_samples(
         if case.kind != "cq" or case.query is None or case.structure is None:
             continue
         collected += 1
-        components = case.query.connected_components()
-        profiles = [
-            analyze_component(component) for component in components
-        ]
-        safe: set[str] | None = None
-        for component, profile in zip(components, profiles):
-            engines = set(
-                eligible_engines(component, profile, case.structure)
-            )
-            safe = engines if safe is None else safe & engines
-        for engine in sorted(safe or ()):
-            visits = sum(
-                estimate_visits(engine, profile, case.structure)
-                for profile in profiles
-            )
+        for engine, visits in case_visits(case.query, case.structure).items():
             started = time.perf_counter()
             for _ in range(repeat):
                 count(case.query, case.structure, engine=engine)

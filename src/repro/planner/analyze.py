@@ -4,9 +4,12 @@ The planner's decisions rest on a handful of structural facts about each
 connected component: is it α-acyclic (GYO-reducible, so the Yannakakis
 engine applies), how wide is it (a greedy elimination bound on the
 treewidth of its primal graph, which predicts the tree-decomposition
-engine's table sizes), and how big is it (variables, atoms,
-inequalities).  :func:`analyze_component` computes all of it once and
-packages the result as an immutable :class:`ComponentProfile`.
+engine's table sizes), how big is it (variables, atoms, inequalities),
+and how do its atoms join (the *join pattern*: each atom's relation and
+terms in canonical variable numbering, which the cost model walks against
+per-structure fanout statistics).  :func:`analyze_component` computes all
+of it once and packages the result as an immutable
+:class:`ComponentProfile`.
 
 Analysis depends only on the *query*, never on the database, so profiles
 are memoized in a canonicalization-keyed :class:`PlanCache`: α-equivalent
@@ -20,10 +23,12 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.homomorphism.acyclic import join_tree
 from repro.obs import metrics as obs_metrics
 from repro.queries.cq import ConjunctiveQuery
+from repro.queries.terms import Variable
 
 __all__ = [
     "ComponentProfile",
@@ -31,6 +36,12 @@ __all__ = [
     "analyze_component",
     "greedy_treewidth_bound",
 ]
+
+#: Join-pattern marker for a constant term (variables are numbered >= 0).
+CONSTANT_TERM = -1
+
+#: One atom of a join pattern: ``(relation, term ids)``.
+PatternAtom = tuple[str, tuple[int, ...]]
 
 #: Default bound on cached component profiles (entries, not bytes).
 DEFAULT_PLAN_CACHE_SIZE = 2048
@@ -53,6 +64,18 @@ class ComponentProfile:
     #: One ``(relation, arity)`` entry *per atom* (duplicates kept: the
     #: cost model sums fact scans and multiplies join sizes atom-wise).
     relations: tuple[tuple[str, int], ...]
+    #: The atoms as ``(relation, term ids)`` in canonical variable
+    #: numbering (:data:`CONSTANT_TERM` for constants), sorted — so
+    #: α-equivalent components share one pattern (see :func:`join_pattern`).
+    join_pattern: tuple[PatternAtom, ...]
+
+    @cached_property
+    def pattern_variables(self) -> tuple[frozenset[int], ...]:
+        """Per join-pattern atom, its variable ids (constants dropped)."""
+        return tuple(
+            frozenset(term for term in terms if term != CONSTANT_TERM)
+            for _, terms in self.join_pattern
+        )
 
     def describe(self) -> str:
         shape = "acyclic" if self.acyclic else f"tw<={self.treewidth_bound}"
@@ -102,8 +125,44 @@ def greedy_treewidth_bound(query: ConjunctiveQuery) -> int:
     return width
 
 
-def analyze_component(component: ConjunctiveQuery) -> ComponentProfile:
-    """The structural profile of one connected component (uncached)."""
+def join_pattern(canonical: ConjunctiveQuery) -> tuple[PatternAtom, ...]:
+    """The atoms of a canonical component as sorted ``(relation, term ids)``.
+
+    ``canonical`` must be the output of
+    :func:`repro.homomorphism.cache.canonical_component`, whose variables
+    are named ``_c0, _c1, …``; the number becomes the term id, and every
+    constant becomes :data:`CONSTANT_TERM` (the cost model treats a
+    constant position like a bound one).
+    """
+    return tuple(
+        sorted(
+            (
+                atom.relation,
+                tuple(
+                    int(term.name[2:])
+                    if isinstance(term, Variable)
+                    else CONSTANT_TERM
+                    for term in atom.terms
+                ),
+            )
+            for atom in canonical.atoms
+        )
+    )
+
+
+def analyze_component(
+    component: ConjunctiveQuery, canonical: ConjunctiveQuery | None = None
+) -> ComponentProfile:
+    """The structural profile of one connected component (uncached).
+
+    ``canonical`` is the component's canonical form when the caller
+    already has it (the :class:`PlanCache` key); otherwise it is computed
+    here.
+    """
+    if canonical is None:
+        from repro.homomorphism.cache import canonical_component
+
+        canonical = canonical_component(component)
     return ComponentProfile(
         atom_count=component.atom_count,
         variable_count=component.variable_count,
@@ -113,6 +172,7 @@ def analyze_component(component: ConjunctiveQuery) -> ComponentProfile:
         relations=tuple(
             sorted((atom.relation, atom.arity) for atom in component.atoms)
         ),
+        join_pattern=join_pattern(canonical),
     )
 
 
@@ -205,7 +265,7 @@ class PlanCache:
                 return cached, True
             self._misses += 1
         obs_metrics.add("plan.cache_misses")
-        computed = analyze_component(component)
+        computed = analyze_component(component, key)
         with self._lock:
             self._entries[key] = computed
             self._entries.move_to_end(key)

@@ -1,23 +1,37 @@
-"""The calibrated cost model: score each engine on one component.
+"""The cost model: score each engine on one component against the data.
 
-Costs are abstract "fact visits" — coarse, but calibrated so the ordering
-between engines is right on the workloads this repository actually runs
-(the E13/E15/E16 benchmark families):
+Costs are abstract "fact visits" (roughly a microsecond each, measured
+on a 2-CPU x86-64 Linux machine), priced from the component's profile
+and from statistics of the structure it runs on:
 
 * **acyclic** (Yannakakis counting) is linear in the matching facts, with
   a small per-atom sorting overhead;
 * **treewidth** (tree-decomposition DP) pays ``|bags| · d^(width+1)`` for
   its message tables, with a heavier per-entry constant;
-* **backtracking** is bounded by the naive join size (the product of the
-  per-atom fact counts) and by ``d^vars``, whichever is smaller — its
-  subtree memoization and private-variable counting usually beat both,
-  which the small additive bias accounts for;
+* **backtracking** scans every atom's facts once, then pays per search
+  node;
 * **compiled** (specialized per-plan evaluators,
   :mod:`repro.homomorphism.compiled`) pays a one-time indexing pass that
-  is linear in the matching facts, then runs either the array-semiring
-  Yannakakis loop (acyclic shapes) or a closure chain whose residual
-  search is a fraction of the interpreted join — modelled as
-  index-build cost plus a discounted join bound.
+  is linear in the matching facts, then either the array-semiring
+  Yannakakis loop (acyclic shapes, folded into the per-fact term) or a
+  closure chain that pays per search node.
+
+**Search nodes** (:func:`chain_nodes`).  On cyclic components the node
+count is a data-aware chain estimate in the spirit of worst-case-optimal
+join analysis (the AGM bound refined by per-relation degree constraints,
+as in Abo Khamis–Ngo–Suciu's PANDA).  It walks the profile's join
+pattern in the compiled chain's greedy atom order.  Each atom multiplies
+the running number of partial assignments by its average fanout,
+``|R| / #distinct(R on the bound positions)``, and a fully bound atom by
+its hit probability.  The estimate sums these running products over all
+prefixes of the order and is capped by the worst cases ``d^vars`` and
+``Π|R|``.  The ``#distinct`` statistics are memoized per structure
+(:meth:`~repro.relational.structure.Structure.distinct_count`), so a
+structure pays each projection once, and deltas keep the statistics of
+untouched relations.  Acyclic components skip the walk: compiled prices
+them linearly and backtracking keeps the worst cases.  A backtracking
+node costs four compiled chain nodes (an interpreted fail-first step
+against a hash lookup).
 
 The model never has to be *right*, only *monotone enough*: every engine
 returns the same exact count (the qa oracles enforce it), so a bad
@@ -32,7 +46,7 @@ the per-engine *scale* factors from measured wall time per structural
 visit on a seeded workload (:func:`fit_constants`), and
 :func:`set_constants` / :func:`use_constants` install a fitted set —
 selection picks the engine minimizing ``scale × visits``, so scales put
-the three structural estimates in one common currency (seconds, up to a
+the structural estimates in one common currency (seconds, up to a
 shared normalization).  Profiles cached by the planner stay valid across
 a swap: constants enter only at selection time, never at analysis time.
 """
@@ -43,12 +57,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
+from repro.homomorphism.compiled import greedy_atom_order
 from repro.planner.analyze import ComponentProfile
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.structure import Structure
 
 __all__ = [
     "CostConstants",
+    "chain_nodes",
     "eligible_engines",
     "estimate_cost",
     "estimate_visits",
@@ -83,6 +99,8 @@ class CostConstants:
     treewidth_base: float = 60.0
     treewidth_per_entry: float = 6.0
     backtracking_base: float = 10.0
+    backtracking_per_fact: float = 1.0
+    backtracking_per_node: float = 2.0
     compiled_base: float = 30.0
     compiled_per_fact: float = 1.0
     compiled_per_atom: float = 2.0
@@ -196,13 +214,65 @@ def _saturating_power(base: float, exponent: int) -> float:
     return total
 
 
-def _relevant_facts(profile: ComponentProfile, structure: Structure) -> int:
-    """Facts in the relations the component touches (missing ones: 0)."""
-    total = 0
-    for relation, _ in profile.relations:
-        if relation in structure.schema:
-            total += structure.fact_count(relation)
-    return total
+def _atom_sizes(profile: ComponentProfile, structure: Structure) -> list[int]:
+    """Per join-pattern atom, its relation's fact count (missing: 0)."""
+    schema = structure.schema
+    return [
+        structure.fact_count(relation) if relation in schema else 0
+        for relation, _ in profile.join_pattern
+    ]
+
+
+def chain_nodes(
+    profile: ComponentProfile,
+    structure: Structure,
+    sizes: list[int] | None = None,
+) -> float:
+    """Estimated search nodes of a join chain over the component's atoms.
+
+    Walks the join pattern in the compiled chain's greedy order
+    (:func:`~repro.homomorphism.compiled.greedy_atom_order`).  Each atom
+    multiplies the running number of partial assignments by its average
+    fanout, ``|R| / #distinct(R on the bound positions)`` (``|R|`` when
+    nothing is bound yet).  A fully bound atom multiplies by its hit
+    probability, ``|R|`` over the product of its per-position distinct
+    counts.  Constant positions count as bound.  The estimate is the sum
+    over prefixes of these running products; an empty relation ends the
+    chain.  The ``#distinct`` statistics are memoized on the structure
+    (:meth:`~repro.relational.structure.Structure.distinct_count`).
+    """
+    pattern = profile.join_pattern
+    if sizes is None:
+        sizes = _atom_sizes(profile, structure)
+    atom_variables = profile.pattern_variables
+    distinct = structure.distinct_count
+    bound: set[int] = set()
+    rows = 1.0
+    nodes = 0.0
+    for index in greedy_atom_order(atom_variables, sizes):
+        size = sizes[index]
+        if not size:
+            break
+        relation, terms = pattern[index]
+        new = atom_variables[index] - bound
+        # Bound positions: constants and already-bound variables.
+        keyed = tuple(
+            position for position, term in enumerate(terms) if term not in new
+        )
+        if not keyed:
+            rows *= size
+        elif new:
+            rows *= size / distinct(relation, keyed)
+        else:
+            combinations = 1
+            for position in keyed:
+                combinations *= distinct(relation, (position,))
+            rows *= min(1.0, size / combinations)
+        nodes += rows
+        if nodes >= COST_CEILING:
+            return COST_CEILING
+        bound |= new
+    return nodes
 
 
 def eligible_engines(
@@ -248,6 +318,86 @@ def eligible_engines(
     return tuple(engines)
 
 
+def _visits(
+    engines,
+    profile: ComponentProfile,
+    structure: Structure,
+    constants: CostConstants,
+) -> tuple[dict[str, float], float | None]:
+    """``({engine: visits}, est_nodes)`` with the shared inputs computed once.
+
+    ``est_nodes`` is the search-node estimate backtracking and the
+    compiled chain pay per node: for cyclic components the fanout chain
+    (:func:`chain_nodes`), still capped by the worst cases ``d^vars``
+    and ``Π|R|``; ``None`` for acyclic ones, whose compiled estimate is
+    linear and whose backtracking estimate keeps the worst cases alone.
+    """
+    domain_size = max(len(structure.domain), 1)
+    sizes = _atom_sizes(profile, structure)
+    facts = sum(sizes)
+    est_nodes = None
+    nodes = COST_CEILING
+    if "backtracking" in engines or (
+        "compiled" in engines and not profile.acyclic
+    ):
+        join = 1.0
+        for size in sizes:
+            join *= float(max(size, 1))
+            if join >= COST_CEILING:
+                join = COST_CEILING
+                break
+        nodes = min(
+            _saturating_power(float(domain_size), profile.variable_count), join
+        )
+        if not profile.acyclic:
+            nodes = min(nodes, chain_nodes(profile, structure, sizes))
+            est_nodes = nodes
+    visits: dict[str, float] = {}
+    for engine in engines:
+        if engine == "acyclic":
+            visits[engine] = (
+                constants.acyclic_base
+                + constants.acyclic_per_fact * facts
+                + constants.acyclic_per_atom * profile.atom_count
+            )
+        elif engine == "treewidth":
+            table = _saturating_power(
+                float(domain_size), profile.treewidth_bound + 1
+            )
+            bags = max(profile.variable_count, 1)
+            visits[engine] = (
+                constants.treewidth_base
+                + constants.treewidth_per_entry * bags * table
+            )
+        elif engine == "backtracking":
+            # Every atom's facts are scanned at least once (the match
+            # cache fills per binding), then each search node pays an
+            # interpreted fail-first step, priced above a chain step.
+            visits[engine] = (
+                constants.backtracking_base
+                + constants.backtracking_per_fact * facts
+                + constants.backtracking_per_node * nodes
+            )
+        elif engine == "compiled":
+            # Index build: linear in the facts, plus a per-atom closure /
+            # grouping setup.  Residual search: free for acyclic shapes
+            # (the array passes are folded into the per-fact term); the
+            # chain's nodes for cyclic ones, each a hash lookup instead
+            # of the interpreter's fact scan.
+            build = (
+                constants.compiled_base
+                + constants.compiled_per_fact * facts
+                + constants.compiled_per_atom * profile.atom_count
+            )
+            if not profile.acyclic:
+                build += constants.compiled_per_node * nodes
+            visits[engine] = build
+        else:
+            raise ValueError(f"no cost model for engine {engine!r}")
+        visits[engine] = min(visits[engine], COST_CEILING)
+    return visits, est_nodes
+
+
 def estimate_visits(
     engine: str,
     profile: ComponentProfile,
@@ -257,75 +407,12 @@ def estimate_visits(
     """The *structural* visit estimate of ``engine``, before scaling.
 
     This is the quantity ``bagcq calibrate`` pairs with measured wall
-    time: seconds ≈ scale × visits.
+    time: seconds ≈ scale × visits.  It is exactly what
+    :func:`select_engine` scores ``engine`` with.
     """
     constants = constants or _current_constants
-    domain_size = max(len(structure.domain), 1)
-    facts = _relevant_facts(profile, structure)
-    if engine == "acyclic":
-        return (
-            constants.acyclic_base
-            + constants.acyclic_per_fact * facts
-            + constants.acyclic_per_atom * profile.atom_count
-        )
-    if engine == "treewidth":
-        table = _saturating_power(
-            float(domain_size), profile.treewidth_bound + 1
-        )
-        bags = max(profile.variable_count, 1)
-        return min(
-            constants.treewidth_base
-            + constants.treewidth_per_entry * bags * table,
-            COST_CEILING,
-        )
-    if engine == "backtracking":
-        assignments = _saturating_power(
-            float(domain_size), profile.variable_count
-        )
-        join = 1.0
-        for relation, _ in profile.relations:
-            cardinality = (
-                structure.fact_count(relation)
-                if relation in structure.schema
-                else 0
-            )
-            join *= float(max(cardinality, 1))
-            if join >= COST_CEILING:
-                join = COST_CEILING
-                break
-        return constants.backtracking_base + min(assignments, join)
-    if engine == "compiled":
-        # Index build: linear in the facts, plus a per-atom closure /
-        # grouping setup.  Residual search: free for acyclic shapes (the
-        # array passes are folded into the per-fact term); a discounted
-        # node bound for cyclic ones (the chain still explores the join,
-        # but each step is a hash lookup instead of a fact scan).
-        build = (
-            constants.compiled_base
-            + constants.compiled_per_fact * facts
-            + constants.compiled_per_atom * profile.atom_count
-        )
-        if profile.acyclic:
-            return build
-        assignments = _saturating_power(
-            float(domain_size), profile.variable_count
-        )
-        join = 1.0
-        for relation, _ in profile.relations:
-            cardinality = (
-                structure.fact_count(relation)
-                if relation in structure.schema
-                else 0
-            )
-            join *= float(max(cardinality, 1))
-            if join >= COST_CEILING:
-                join = COST_CEILING
-                break
-        return min(
-            build + constants.compiled_per_node * min(assignments, join),
-            COST_CEILING,
-        )
-    raise ValueError(f"no cost model for engine {engine!r}")
+    visits, _ = _visits((engine,), profile, structure, constants)
+    return visits[engine]
 
 
 def estimate_cost(
@@ -348,14 +435,21 @@ def select_engine(
     profile: ComponentProfile,
     structure: Structure,
     constants: CostConstants | None = None,
-) -> tuple[str, float]:
-    """The cheapest safe engine for the component: ``(engine, est_cost)``."""
+) -> tuple[str, float, float | None]:
+    """The cheapest safe engine: ``(engine, est_cost, est_nodes)``.
+
+    ``est_nodes`` is the search-node estimate behind the backtracking and
+    compiled-chain costs (``None`` for acyclic components, see
+    :func:`_visits`); EXPLAIN shows it next to the cost.
+    """
     constants = constants or _current_constants
+    engines = eligible_engines(component, profile, structure)
+    visits, est_nodes = _visits(engines, profile, structure, constants)
     best: tuple[float, int, str] | None = None
-    for engine in eligible_engines(component, profile, structure):
-        cost = estimate_cost(engine, profile, structure, constants)
+    for engine in engines:
+        cost = min(constants.scale(engine) * visits[engine], COST_CEILING)
         candidate = (cost, _PREFERENCE[engine], engine)
         if best is None or candidate < best:
             best = candidate
     assert best is not None  # backtracking is always eligible
-    return best[2], best[0]
+    return best[2], best[0], est_nodes

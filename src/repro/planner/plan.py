@@ -107,11 +107,16 @@ class PlanStep:
     profile: ComponentProfile
     #: Exponent the component's count is raised to (lazy ``↑ k`` factors).
     exponent: int = 1
+    #: The fanout-chain node estimate behind the cost (``None`` for
+    #: acyclic components, which are priced without it).
+    est_nodes: float | None = None
 
     def describe(self) -> str:
         power = f" ^{self.exponent}" if self.exponent != 1 else ""
+        nodes = "-" if self.est_nodes is None else f"{self.est_nodes:.0f}"
         return (
             f"engine={self.engine:<12} est_cost={self.est_cost:>12.0f}  "
+            f"est_nodes={nodes:>10}  "
             f"[{self.profile.describe()}]{power}  {self.component}"
         )
 
@@ -124,6 +129,7 @@ class PlanStep:
             "component_text": str(self.component),
             "engine": self.engine,
             "est_cost": self.est_cost,
+            "est_nodes": self.est_nodes,
             "exponent": self.exponent,
             "profile": {
                 "atom_count": self.profile.atom_count,
@@ -197,7 +203,7 @@ def select_for(
     _preregister_counters()
     plan_cache = cache if cache is not None else _DEFAULT_PLAN_CACHE
     profile, was_hit = plan_cache.profile(component)
-    engine, est_cost = select_engine(component, profile, structure)
+    engine, est_cost, est_nodes = select_engine(component, profile, structure)
     obs_metrics.add("plan.components")
     obs_metrics.add(f"plan.selected.{engine}")
     return PlanStep(
@@ -206,6 +212,7 @@ def select_for(
         est_cost=est_cost,
         profile=profile,
         exponent=1,
+        est_nodes=est_nodes,
     )
 
 
@@ -250,7 +257,9 @@ def plan(
     with span("plan.select") as select_span:
         steps = []
         for component, exponent, profile in analyzed:
-            engine, est_cost = select_engine(component, profile, structure)
+            engine, est_cost, est_nodes = select_engine(
+                component, profile, structure
+            )
             obs_metrics.add("plan.components")
             obs_metrics.add(f"plan.selected.{engine}")
             steps.append(
@@ -260,6 +269,7 @@ def plan(
                     est_cost=est_cost,
                     profile=profile,
                     exponent=exponent,
+                    est_nodes=est_nodes,
                 )
             )
         select_span.set(

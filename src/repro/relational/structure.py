@@ -150,7 +150,15 @@ class Structure:
     2
     """
 
-    __slots__ = ("_schema", "_facts", "_constants", "_domain", "_fingerprints", "_context_fp")
+    __slots__ = (
+        "_schema",
+        "_facts",
+        "_constants",
+        "_domain",
+        "_fingerprints",
+        "_context_fp",
+        "_distinct",
+    )
 
     def __init__(
         self,
@@ -180,6 +188,8 @@ class Structure:
         # Lazily-filled content-fingerprint memos (see relation_fingerprint).
         self._fingerprints: dict[str, int] = {}
         self._context_fp: int | None = None
+        # Lazily-filled join statistics (see distinct_count).
+        self._distinct: dict[tuple[str, tuple[int, ...]], int] = {}
 
     # -- basic accessors -------------------------------------------------
 
@@ -237,6 +247,34 @@ class Structure:
         if SPADE not in self._constants or HEART not in self._constants:
             return False
         return self._constants[SPADE] != self._constants[HEART]
+
+    # -- join statistics ----------------------------------------------------
+
+    def distinct_count(self, relation: str, positions: tuple[int, ...]) -> int:
+        """``#distinct`` values of ``relation``'s facts projected on ``positions``.
+
+        The planner's fanout statistic: ``fact_count / distinct_count`` is
+        the average number of facts sharing one binding of ``positions``.
+        Memoized per ``(relation, positions)`` on this immutable structure;
+        :meth:`apply_delta` carries the entries of untouched relations
+        over.  A relation missing from the schema counts as empty.
+        """
+        key = (relation, positions)
+        cached = self._distinct.get(key)
+        if cached is None:
+            facts = self._facts.get(relation, ())
+            if len(positions) == 1:
+                position = positions[0]
+                cached = len({values[position] for values in facts})
+            else:
+                cached = len(
+                    {
+                        tuple(values[position] for position in positions)
+                        for values in facts
+                    }
+                )
+            self._distinct[key] = cached
+        return cached
 
     # -- content fingerprints ---------------------------------------------
 
@@ -305,9 +343,9 @@ class Structure:
         """Apply a :class:`Delta`, touching only what the delta touches.
 
         Returns a new structure sharing every untouched fact set (and its
-        cached fingerprint) with ``self``; work is proportional to the
-        delta, not to the database.  See :class:`Delta` for the mutation
-        semantics.
+        cached fingerprint and join statistics) with ``self``; work is
+        proportional to the delta, not to the database.  See
+        :class:`Delta` for the mutation semantics.
 
         >>> sigma = Schema.from_arities({"E": 2})
         >>> d = Structure(sigma, facts={"E": [(1, 2)]})
@@ -385,6 +423,11 @@ class Structure:
         result._context_fp = (
             self._context_fp if new_domain == self._domain else None
         )
+        result._distinct = {
+            key: value
+            for key, value in self._distinct.items()
+            if key[0] not in touched
+        }
         return result
 
     def with_fact(self, relation: str, values: tuple) -> "Structure":

@@ -416,6 +416,10 @@ class DurableCacheStore:
                     "acyclic": profile.acyclic,
                     "treewidth_bound": profile.treewidth_bound,
                     "relations": [list(pair) for pair in profile.relations],
+                    "join_pattern": [
+                        [relation, list(terms)]
+                        for relation, terms in profile.join_pattern
+                    ],
                 },
             }
         except BagCQError:
@@ -451,6 +455,10 @@ class DurableCacheStore:
                         relations=tuple(
                             (str(name), int(arity))
                             for name, arity in raw["relations"]
+                        ),
+                        join_pattern=tuple(
+                            (str(relation), tuple(int(term) for term in terms))
+                            for relation, terms in raw["join_pattern"]
                         ),
                     )
                 except (BagCQError, KeyError, TypeError, ValueError):

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from repro.loadgen.calibrate import calibrate, collect_samples
+from repro.loadgen.calibrate import calibrate, case_visits, collect_samples
 from repro.planner import (
     CostConstants,
     analyze_component,
@@ -24,6 +24,14 @@ from repro.planner import (
     use_constants,
 )
 from repro.qa.generators import case_at
+from repro.queries import parse_query
+from repro.relational import Schema, Structure
+
+
+def _sparse_graph(n: int) -> Structure:
+    """A deterministic ``n``-vertex graph with ``3n`` non-loop edges."""
+    edges = {(i, (i * 7 + k) % n) for i in range(n) for k in (1, 2, 5)}
+    return Structure(Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n))
 
 
 class TestCollectSamples:
@@ -48,6 +56,48 @@ class TestCollectSamples:
             collect_samples(case_count=0)
         with pytest.raises(ValueError):
             collect_samples(repeat=0)
+
+
+class TestDataAwareVisits:
+    """Calibration pairs seconds with the visits selection actually scores."""
+
+    CYCLE_5 = parse_query(
+        "E(x0, x1) & E(x1, x2) & E(x2, x3) & E(x3, x4) & E(x4, x0)"
+    )
+
+    def test_cyclic_visits_use_the_fanout_chain(self):
+        graph = _sparse_graph(40)
+        visits = case_visits(self.CYCLE_5, graph)
+        worst_case = 40.0**5  # min(d^vars, Π|R|) on this graph
+        assert set(visits) == {"backtracking", "treewidth", "compiled"}
+        assert visits["backtracking"] < worst_case / 1000
+        assert visits["compiled"] < visits["treewidth"]
+
+    def test_visits_are_what_selection_scores(self):
+        graph = _sparse_graph(40)
+        query = parse_query(
+            "E(a, b) & E(b, c) & E(c, a) & E(a, d) & E(d, e) & E(e, a)"
+        )
+        engine, est_cost, est_nodes = select_engine(
+            query, analyze_component(query), graph
+        )
+        assert est_nodes is not None
+        assert est_cost == pytest.approx(
+            get_constants().scale(engine) * case_visits(query, graph)[engine]
+        )
+
+    def test_samples_carry_case_visits(self):
+        samples = collect_samples(case_count=6, seed=3, repeat=1)
+        expected = []
+        index = 0
+        while len(expected) < 6:
+            case = case_at(index, 3)
+            index += 1
+            if case.kind == "cq" and case.query is not None and case.structure is not None:
+                expected.append(case_visits(case.query, case.structure))
+        assert [(engine, visits) for engine, visits, _ in samples] == [
+            item for visits in expected for item in visits.items()
+        ]
 
 
 class TestFitConstants:

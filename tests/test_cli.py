@@ -396,6 +396,58 @@ class TestExplainCommand:
         assert payload == json.loads(json.dumps(local.to_dict()))
 
 
+class TestExplainAnalyze:
+    QUERY = "E(x,y) & E(y,z) & E(z,x) & E(u,v)"
+    FACTS = "E(a,b) E(b,c) E(c,a) E(a,c)"
+
+    def test_analyze_reports_estimate_and_actual(self, capsys):
+        exit_code = main(
+            ["explain", "--query", self.QUERY, "--facts", self.FACTS, "--analyze"]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "analyze" in out
+        analyzed = [line for line in out.splitlines() if "actual_ms=" in line]
+        assert len(analyzed) == 2
+        for line in analyzed:
+            assert "est_cost=" in line and "est_nodes=" in line
+        # The cyclic triangle carries a chain-node estimate, and its
+        # count is the inline database's 3 directed triangles.
+        triangle = [line for line in analyzed if "est_nodes=         -" not in line]
+        assert len(triangle) == 1 and triangle[0].endswith("count=3")
+
+    def test_analyze_json_adds_actuals(self, capsys):
+        import json
+
+        exit_code = main(
+            [
+                "explain",
+                "--query",
+                self.QUERY,
+                "--facts",
+                self.FACTS,
+                "--analyze",
+                "--json",
+            ]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        counts = sorted(step["count"] for step in payload["steps"])
+        assert counts == [3, 4]
+        for step in payload["steps"]:
+            assert step["actual_ms"] >= 0
+            assert "est_nodes" in step
+        nodes = [step["est_nodes"] for step in payload["steps"]]
+        assert sum(node is None for node in nodes) == 1
+
+    def test_plain_explain_runs_nothing(self, capsys):
+        exit_code = main(["explain", "--query", self.QUERY, "--facts", self.FACTS])
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "est_nodes=" in out
+        assert "actual_ms=" not in out
+
+
 class TestServiceCommands:
     @pytest.fixture()
     def server(self):

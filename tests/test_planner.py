@@ -13,6 +13,7 @@ Two properties carry the subsystem:
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -35,6 +36,7 @@ from repro.planner import (
     select_for,
     use_constants,
 )
+from repro.planner.analyze import CONSTANT_TERM
 from repro.qa.generators import case_at
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_query
@@ -221,7 +223,7 @@ class TestEligibility:
 class TestSelection:
     def test_tiny_component_prefers_backtracking(self, loop_and_edge):
         query = parse_query("E(x, y) & E(y, x)")
-        engine, _ = select_engine(
+        engine, _, _ = select_engine(
             query, analyze_component(query), loop_and_edge
         )
         assert engine == "backtracking"
@@ -230,19 +232,19 @@ class TestSelection:
         # Since the compiled engine joined the model, it undercuts the
         # interpreted Yannakakis pass on the dense acyclic slice.
         query = path_query(5)
-        engine, _ = select_engine(query, analyze_component(query), dense)
+        engine, _, _ = select_engine(query, analyze_component(query), dense)
         assert engine == "compiled"
 
     def test_long_path_prefers_acyclic_when_compiled_priced_out(self, dense):
         query = path_query(5)
         expensive = replace(get_constants(), compiled_scale=1e6)
         with use_constants(expensive):
-            engine, _ = select_engine(query, analyze_component(query), dense)
+            engine, _, _ = select_engine(query, analyze_component(query), dense)
         assert engine == "acyclic"
 
     def test_dense_cycle_prefers_treewidth(self, dense):
         query = cycle_query(6)
-        engine, _ = select_engine(query, analyze_component(query), dense)
+        engine, _, _ = select_engine(query, analyze_component(query), dense)
         assert engine == "treewidth"
 
     def test_estimates_are_finite_and_positive(self, dense):
@@ -256,6 +258,173 @@ class TestSelection:
         profile = analyze_component(path_query(2))
         with pytest.raises(ValueError, match="no cost model"):
             estimate_cost("quantum", profile, dense)
+
+
+def _sparse_graph(n: int, seed: int) -> Structure:
+    """``n`` vertices, ``3n`` distinct directed non-loop edges."""
+    rng = random.Random(seed)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < 3 * n:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            edges.add((a, b))
+    return Structure(Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n))
+
+
+def _dense_graph(n: int, seed: int, p: float = 0.5) -> Structure:
+    """Erdős–Rényi directed graph on ``n`` vertices, no loops."""
+    rng = random.Random(seed)
+    edges = [
+        (a, b) for a in range(n) for b in range(n) if a != b and rng.random() < p
+    ]
+    return Structure(Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n))
+
+
+BOWTIE = parse_query("E(a, b) & E(b, c) & E(c, a) & E(a, d) & E(d, e) & E(e, a)")
+TREE = parse_query("E(x, y) & E(y, z) & E(y, w) & E(w, u) & E(w, v)")
+TRI_NEQ = parse_query("E(x, y) & E(y, z) & E(z, x) & x != y")
+REGIME_GRAPHS = {
+    "sparse40": _sparse_graph(40, 1),
+    "dense8": _dense_graph(8, 2),
+    "dense12": _dense_graph(12, 3),
+}
+
+
+def _auto_pick(query: ConjunctiveQuery, structure: Structure) -> str:
+    return select_for(query, structure, cache=PlanCache()).engine
+
+
+class TestRegimes:
+    """``auto`` on both sides of the data-aware cost model.
+
+    Cyclic shapes on sparse or moderately dense graphs belong to the
+    compiled chain (the tree-decomposition DP is 3–100× slower there);
+    long cycles on dense graphs belong to the DP.
+    """
+
+    @pytest.mark.parametrize("graph", sorted(REGIME_GRAPHS))
+    @pytest.mark.parametrize("shape", ["cycle-5", "bowtie"])
+    def test_cyclic_shapes_pick_compiled(self, shape, graph):
+        query = cycle_query(5) if shape == "cycle-5" else BOWTIE
+        assert _auto_pick(query, REGIME_GRAPHS[graph]) == "compiled"
+
+    def test_long_dense_cycle_keeps_treewidth(self):
+        assert _auto_pick(cycle_query(10), _dense_graph(10, 0)) == "treewidth"
+
+    @pytest.mark.parametrize("graph", sorted(REGIME_GRAPHS))
+    def test_paths_and_trees_pick_compiled(self, graph):
+        for query in (path_query(4), path_query(6), TREE):
+            assert _auto_pick(query, REGIME_GRAPHS[graph]) == "compiled"
+
+    @pytest.mark.parametrize("graph", sorted(REGIME_GRAPHS))
+    def test_triangle_with_inequality_picks_backtracking(self, graph):
+        assert _auto_pick(TRI_NEQ, REGIME_GRAPHS[graph]) == "backtracking"
+
+    def test_chain_estimate_undercuts_worst_case_on_sparse_data(self):
+        graph = REGIME_GRAPHS["sparse40"]
+        step = select_for(cycle_query(5), graph, cache=PlanCache())
+        # The worst case min(d^vars, Π|R|) is 40^5; the fanout chain is
+        # about |E| · (|E|/d)^3 · (|E|/d^2) summed over prefixes.
+        assert step.est_nodes is not None
+        assert step.est_nodes < 10_000
+        assert select_for(path_query(4), graph).est_nodes is None
+
+
+class TestPackingPrices:
+    def test_pool_packing_prices_what_selection_prices(self, monkeypatch):
+        """A forced engine's packing estimate is the selector's estimate."""
+        import repro.homomorphism.batch as batch
+
+        captured: list[float] = []
+        original = batch._evaluate_schedule
+
+        def serial(schedule, workers, registry, costs=None):
+            captured.extend(costs or ())
+            return original(schedule, 1, registry)
+
+        monkeypatch.setattr(batch, "_evaluate_schedule", serial)
+        graph = REGIME_GRAPHS["sparse40"]
+        query = cycle_query(5)
+        [value] = count_many(
+            [(query, graph)], engine="compiled", workers=2, cache=False
+        )
+        assert value == count(query, graph, engine="backtracking")
+        step = select_for(query, graph, cache=PlanCache())
+        assert step.engine == "compiled" and step.est_nodes is not None
+        assert captured == [pytest.approx(step.est_cost)]
+
+
+class TestJoinPattern:
+    def test_alpha_equivalent_components_share_a_pattern(self):
+        first = analyze_component(parse_query("E(x, y) & E(y, z) & E(z, x)"))
+        second = analyze_component(parse_query("E(b, c) & E(a, b) & E(c, a)"))
+        assert first.join_pattern == second.join_pattern
+        assert first == second
+
+    def test_constants_are_marked(self):
+        profile = analyze_component(parse_query("E(#a, x) & E(x, y)"))
+        assert sorted(profile.join_pattern) == [
+            ("E", (CONSTANT_TERM, 0)),
+            ("E", (0, 1)),
+        ]
+
+
+class TestStatisticsMemo:
+    def _database(self) -> Structure:
+        schema = Schema.from_arities({"E": 2, "F": 2})
+        return Structure(
+            schema,
+            {
+                "E": [(i, (i * 7) % 11) for i in range(11)],
+                "F": [(i % 3, i) for i in range(9)],
+            },
+        )
+
+    def test_delta_keeps_untouched_statistics(self):
+        from repro.relational.structure import Delta
+
+        base = self._database()
+        for relation in ("E", "F"):
+            for positions in ((0,), (1,)):
+                base.distinct_count(relation, positions)
+        mutated = base.apply_delta(Delta(inserts=[("E", (0, 5))]))
+        fresh = Structure(
+            mutated.schema,
+            {name: mutated.facts(name) for name in ("E", "F")},
+        )
+        # Untouched F statistics are carried over, touched E ones are not.
+        assert ("F", (0,)) in mutated._distinct
+        assert ("F", (1,)) in mutated._distinct
+        assert ("E", (0,)) not in mutated._distinct
+        assert ("E", (1,)) not in mutated._distinct
+        for relation in ("E", "F"):
+            for positions in ((0,), (1,), (0, 1)):
+                assert mutated.distinct_count(
+                    relation, positions
+                ) == fresh.distinct_count(relation, positions)
+        assert mutated.distinct_count("E", (0,)) == 11
+        assert base.distinct_count("E", (0,)) == 11
+        assert mutated.distinct_count("E", (0, 1)) == 12
+
+    def test_counts_bit_identical_after_delta(self):
+        from repro.relational.structure import Delta
+
+        base = self._database()
+        query = parse_query("E(x, y) & F(y, z) & E(z, x)")
+        count(query, base, engine="auto")
+        mutated = base.apply_delta(
+            Delta(inserts=[("F", (2, 0))], deletes=[("E", (1, 7))])
+        )
+        fresh = Structure(
+            mutated.schema,
+            {name: mutated.facts(name) for name in ("E", "F")},
+        )
+        expected = count(query, fresh, engine="backtracking")
+        for engine in ("auto", "compiled", "treewidth", "backtracking"):
+            assert count(query, mutated, engine=engine) == expected
+
+    def test_missing_relation_counts_zero(self):
+        assert self._database().distinct_count("G", (0,)) == 0
 
 
 class TestPlan:

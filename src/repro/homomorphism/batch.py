@@ -213,7 +213,7 @@ def count_many(
                 continue
             key = component_cache_key(component, structure, concrete)
             if key in pending:
-                active_cache.note_reuse()
+                active_cache.note_hit()
                 entries.append((("slot", pending[key]), exponent))
                 continue
             hit = active_cache.lookup(key)

@@ -21,10 +21,15 @@ when their renamed forms are literally equal — and a bijective renaming
 never changes a count.  An imperfect tie-break merely costs cache hits,
 never correctness.
 
-:class:`CountCache` is the bounded LRU that stores the results, shared
+:class:`LRUTier` is the one bounded, thread-safe LRU map behind every
+cache of the stack: :class:`CountCache` (the component counts, shared
 within a :func:`repro.homomorphism.batch.count_many` batch and reusable
-across calls when passed explicitly.  Hits/misses/evictions are mirrored
-into the active :mod:`repro.obs` registry as ``cache.*`` counters.
+across calls when passed explicitly; hits/misses/evictions mirrored into
+the active :mod:`repro.obs` registry as ``cache.*`` counters), the
+containment verdict cache, and the planner's four levels.  This module
+is also the only place that builds or reads the fingerprint part of a
+key (:func:`component_fingerprint`, :func:`key_dependencies`,
+:func:`key_is_current`).
 """
 
 from __future__ import annotations
@@ -41,11 +46,13 @@ from repro.relational.structure import Structure
 
 __all__ = [
     "CountCache",
+    "LRUTier",
     "canonical_component",
     "component_cache_key",
     "component_fingerprint",
-    "key_depends_on_domain",
-    "key_relations",
+    "is_affected",
+    "key_dependencies",
+    "key_is_current",
 ]
 
 #: Default bound on cached component counts (entries, not bytes).
@@ -227,49 +234,89 @@ def component_cache_key(
     )
 
 
-def key_relations(key) -> frozenset[str] | None:
-    """The relation names a :func:`component_cache_key` depends on.
+def key_dependencies(key) -> tuple[frozenset[str], bool] | None:
+    """``(relations, domain_dependent)`` of a fingerprint-keyed entry.
 
-    Returns ``None`` for keys of an unrecognized shape (foreign keys must
-    be treated as depending on *everything* by relation-scoped
-    invalidation).
+    Count keys ``(canonical, fingerprint, engine)`` and the planner's
+    compiled-artifact keys ``(canonical, fingerprint)`` both carry a
+    :func:`component_fingerprint` second; this reads the relation names
+    it depends on and whether it depends on the domain size.  Returns
+    ``None`` for keys of any other shape (relation-scoped invalidation
+    must treat those as depending on *everything*).
     """
+    fingerprint = key[1] if isinstance(key, tuple) and len(key) >= 2 else None
     if (
-        isinstance(key, tuple)
-        and len(key) == 3
-        and isinstance(key[1], tuple)
-        and len(key[1]) == 4
-        and key[1][0] == _FP_TAG
+        isinstance(fingerprint, tuple)
+        and len(fingerprint) == 4
+        and fingerprint[0] == _FP_TAG
     ):
-        return frozenset(name for name, _ in key[1][1])
+        relations = frozenset(name for name, _ in fingerprint[1])
+        return relations, fingerprint[3] is not None
     return None
 
 
-def key_depends_on_domain(key) -> bool:
-    """True when a recognized key's count depends on the domain size."""
-    if (
-        isinstance(key, tuple)
-        and len(key) == 3
-        and isinstance(key[1], tuple)
-        and len(key[1]) == 4
-        and key[1][0] == _FP_TAG
-    ):
-        return key[1][3] is not None
-    return True
+def key_is_current(key, structure: Structure) -> bool:
+    """Is a fingerprint-keyed entry keyed by ``structure``'s content?
+
+    Exactly ``key[1] == component_fingerprint(key[0], structure)``, with
+    the relation contents compared first: entries of other databases
+    sharing the cache (most entries, on a server) fail there without
+    paying for the whole fingerprint.
+    """
+    fingerprint = key[1]
+    for name, content in fingerprint[1]:
+        if name in structure.schema:
+            if content != structure.relation_fingerprint(name):
+                return False
+        elif content is not None:
+            return False
+    return fingerprint == component_fingerprint(key[0], structure)
 
 
-class CountCache:
-    """A bounded, thread-safe LRU map from cache keys to exact counts.
+def is_affected(dependencies, touched: frozenset, domain_changed: bool) -> bool:
+    """Can a change to ``touched`` (and the domain) stale an entry?
 
-    >>> cache = CountCache(max_entries=2)
-    >>> cache.store("a", 1); cache.store("b", 2); cache.store("c", 3)
-    >>> cache.lookup("a") is None  # evicted, capacity 2
+    ``dependencies`` is a :func:`key_dependencies` result; ``None`` (an
+    unrecognized key, or an undecodable durable file) is conservatively
+    affected.
+    """
+    if dependencies is None:
+        return True
+    relations, domain_dependent = dependencies
+    return bool(relations & touched) or (domain_changed and domain_dependent)
+
+
+_ABSENT = object()
+
+
+class LRUTier:
+    """A bounded, thread-safe LRU map: the one cache primitive.
+
+    Every cache of the stack — component counts, containment verdicts,
+    and the planner's profile and compiled-artifact levels — is one of
+    these.  Values are never ``None`` (:meth:`lookup` returns ``None`` on
+    a miss).
+
+    ``counter_prefix`` mirrors traffic into the active :mod:`repro.obs`
+    registry as ``<prefix>hits`` / ``<prefix>misses`` /
+    ``<prefix>evictions`` (``None``: no counters).  ``durable_tier`` names
+    the :class:`repro.shard.persist.DurableCacheStore` tier the map
+    mirrors once a store is attached with :meth:`attach_durable`.
+
+    >>> tier = LRUTier(max_entries=2)
+    >>> tier.store("a", 1); tier.store("b", 2); tier.store("c", 3)
+    >>> tier.lookup("a") is None  # evicted, capacity 2
     True
-    >>> cache.lookup("c")
+    >>> tier.lookup("c")
     3
     """
 
-    def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE) -> None:
+    def __init__(
+        self,
+        max_entries: int,
+        counter_prefix: str | None = None,
+        durable_tier: str | None = None,
+    ) -> None:
         if max_entries < 1:
             raise ValueError(f"cache needs max_entries >= 1, got {max_entries}")
         self._max_entries = max_entries
@@ -278,113 +325,112 @@ class CountCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._durable = None
+        if counter_prefix is None:
+            self._counters = None
+        else:
+            self._counters = tuple(
+                counter_prefix + event for event in ("hits", "misses", "evictions")
+            )
+        self.durable_tier = durable_tier
+        #: The attached durable store, or ``None``.
+        self.durable = None
 
     def attach_durable(self, durable) -> None:
-        """Mirror this cache into a durable tier.
+        """Mirror this map into a durable tier.
 
         ``durable`` (a :class:`repro.shard.persist.DurableCacheStore`)
-        receives ``record_count(key, value)`` after every store and
-        ``invalidate_relations(...)`` alongside every relation-scoped
-        eviction, both *outside* this cache's lock — the hot path never
-        blocks on disk I/O held under the lock.  Attaching replaces any
-        previous tier; ``None`` detaches.
+        receives ``record(tier, key, value)`` after every :meth:`store`
+        and ``forget(tier, key, value)`` after every :meth:`discard`,
+        both *outside* this map's lock — the hot path never blocks on
+        disk I/O held under the lock.  Capacity evictions and
+        :meth:`clear` leave the disk alone: disk is the bigger cache.
+        Attaching replaces any previous tier; ``None`` detaches.
         """
-        self._durable = durable
+        self.durable = durable
 
-    def lookup(self, key) -> int | None:
-        """The cached count, or ``None`` (counts are ints, never ``None``)."""
+    def lookup(self, key):
+        """The cached value (refreshing its recency), or ``None``."""
         with self._lock:
-            if key in self._entries:
+            value = self._entries.get(key)
+            if value is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                obs_metrics.add("cache.hits")
-                return self._entries[key]
-            self._misses += 1
-            obs_metrics.add("cache.misses")
-            return None
+            else:
+                self._misses += 1
+        if self._counters is not None:
+            obs_metrics.add(self._counters[0 if value is not None else 1])
+        return value
 
-    def note_reuse(self) -> None:
+    def note_hit(self) -> None:
         """Record a hit that bypassed :meth:`lookup`.
 
         The batch evaluator deduplicates identical keys *within* one batch
-        before their shared evaluation has finished; those reuses are hits
-        in every sense that matters for the hit-rate report.
+        before their shared evaluation has finished, and the planner's
+        exact-object front level answers before this map is asked; those
+        reuses are hits in every sense that matters for the hit rate.
         """
         with self._lock:
             self._hits += 1
-        obs_metrics.add("cache.hits")
+        if self._counters is not None:
+            obs_metrics.add(self._counters[0])
 
-    def store(self, key, value: int) -> None:
+    def store(self, key, value) -> None:
+        evicted = 0
         with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                obs_metrics.add("cache.evictions")
-        if self._durable is not None:
-            # Capacity evictions above do NOT touch the durable tier:
-            # disk is the bigger cache, and a re-evicted entry restoring
-            # from it is the point.  Only invalidation deletes files.
-            self._durable.record_count(key, value)
+            entries = self._entries
+            entries[key] = value
+            entries.move_to_end(key)
+            while len(entries) > self._max_entries:
+                entries.popitem(last=False)
+                evicted += 1
+            self._evictions += evicted
+        if evicted and self._counters is not None:
+            obs_metrics.add(self._counters[2], evicted)
+        if self.durable is not None:
+            self.durable.record(self.durable_tier, key, value)
+
+    def discard(self, key) -> bool:
+        """Retire one entry; True when it was present.
+
+        Not counted as an eviction (evictions measure capacity pressure,
+        not invalidation), but it does reach the durable tier: a retired
+        entry must not come back on the next restore.
+        """
+        with self._lock:
+            value = self._entries.pop(key, _ABSENT)
+        if value is _ABSENT:
+            return False
+        if self.durable is not None:
+            self.durable.forget(self.durable_tier, key, value)
+        return True
+
+    def discard_where(self, predicate) -> int:
+        """Drop every entry whose key satisfies ``predicate``; the count.
+
+        The in-memory half of relation-scoped invalidation; the caller
+        owns the disk half (one sweep instead of a file per entry).
+        """
+        with self._lock:
+            victims = [key for key in self._entries if predicate(key)]
+            for key in victims:
+                del self._entries[key]
+        return len(victims)
+
+    def items(self) -> list[tuple]:
+        """A point-in-time ``(key, value)`` snapshot (LRU order, coldest
+        first) — what delta evaluation migrates and snapshots persist."""
+        with self._lock:
+            return list(self._entries.items())
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
 
-    def items(self) -> list[tuple]:
-        """A point-in-time ``(key, value)`` snapshot (LRU order, coldest
-        first).  Used by delta evaluation to migrate entries across
-        database versions."""
-        with self._lock:
-            return list(self._entries.items())
-
-    def discard(self, key) -> bool:
-        """Drop one entry; True when it was present.  Not counted as an
-        eviction (evictions measure capacity pressure, not invalidation)."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def invalidate_relations(
-        self, relations, *, domain_changed: bool = False
-    ) -> int:
-        """Evict every entry whose key depends on one of ``relations``.
-
-        Relation-scoped invalidation: an entry is dropped iff the relation
-        names in its fingerprint intersect ``relations``, or (with
-        ``domain_changed``) its count depends on the domain size.  Keys of
-        an unrecognized shape are dropped conservatively.  Returns the
-        number of entries evicted and mirrors it into the
-        ``cache.invalidations`` counter.
-        """
-        touched = frozenset(relations)
-        dropped = 0
-        with self._lock:
-            for key in list(self._entries):
-                depends = key_relations(key)
-                if depends is None:
-                    affected = True
-                else:
-                    affected = bool(depends & touched) or (
-                        domain_changed and key_depends_on_domain(key)
-                    )
-                if affected:
-                    del self._entries[key]
-                    dropped += 1
-        if dropped:
-            obs_metrics.add("cache.invalidations", dropped)
-        if self._durable is not None:
-            # Unconditional (not gated on ``dropped``): the durable tier
-            # can hold entries this process never loaded, and they are
-            # just as stale after the mutation.
-            self._durable.invalidate_relations(
-                relations, domain_changed=domain_changed
-            )
-        return dropped
-
     def __len__(self) -> int:
-        return len(self._entries)
+        # Under the lock: a store briefly holds one entry over the bound
+        # before it evicts, and no reader may observe that.
+        with self._lock:
+            return len(self._entries)
 
     @property
     def max_entries(self) -> int:
@@ -408,18 +454,63 @@ class CountCache:
         return self._hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """A plain-data snapshot for reports and tests."""
+        """A consistent plain-data snapshot for reports and tests."""
+        with self._lock:
+            entries = len(self._entries)
+            hits, misses = self._hits, self._misses
+            evictions = self._evictions
         return {
-            "entries": len(self._entries),
+            "entries": entries,
             "max_entries": self._max_entries,
-            "hits": self._hits,
-            "misses": self._misses,
-            "evictions": self._evictions,
-            "hit_rate": self.hit_rate,
+            "hits": hits,
+            "misses": misses,
+            "evictions": evictions,
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         }
 
     def __repr__(self) -> str:
         return (
-            f"CountCache(entries={len(self._entries)}/{self._max_entries}, "
-            f"hits={self._hits}, misses={self._misses})"
+            f"{type(self).__name__}(entries={len(self._entries)}/"
+            f"{self._max_entries}, hits={self._hits}, misses={self._misses})"
         )
+
+
+class CountCache(LRUTier):
+    """The bounded LRU of exact component counts (``cache.*`` counters).
+
+    >>> cache = CountCache(max_entries=2)
+    >>> cache.store("a", 1); cache.store("b", 2); cache.store("c", 3)
+    >>> cache.lookup("a") is None  # evicted, capacity 2
+    True
+    >>> cache.lookup("c")
+    3
+    """
+
+    def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE) -> None:
+        super().__init__(max_entries, "cache.", durable_tier="counts")
+
+    def invalidate_relations(
+        self, relations, *, domain_changed: bool = False
+    ) -> int:
+        """Evict every entry whose key depends on one of ``relations``.
+
+        Relation-scoped invalidation: an entry is dropped iff
+        :func:`is_affected` says so.  Returns the number of entries
+        evicted and mirrors it into the ``cache.invalidations`` counter.
+        """
+        touched = frozenset(relations)
+        dropped = self.discard_where(
+            lambda key: is_affected(
+                key_dependencies(key), touched, domain_changed
+            )
+        )
+        if dropped:
+            obs_metrics.add("cache.invalidations", dropped)
+        if self.durable is not None:
+            # Unconditional (not gated on ``dropped``): the durable tier
+            # can hold entries this process never loaded, and they are
+            # just as stale after the mutation.
+            self.durable.invalidate_relations(
+                relations, domain_changed=domain_changed
+            )
+        return dropped

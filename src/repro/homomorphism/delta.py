@@ -39,8 +39,9 @@ from dataclasses import dataclass
 from repro.homomorphism.cache import (
     CountCache,
     component_fingerprint,
-    key_depends_on_domain,
-    key_relations,
+    is_affected,
+    key_dependencies,
+    key_is_current,
 )
 from repro.homomorphism.compiled import _effective_changes, refresh_component
 from repro.obs import metrics as obs_metrics
@@ -182,58 +183,32 @@ class DeltaEvaluator:
 
     # -- applying deltas --------------------------------------------------
 
-    def _entry_is_current(self, key, structure: Structure) -> bool:
-        """Does the entry's fingerprint vector match ``structure``?
-
-        Distinguishes *this* database version's entries from entries of
-        other databases (or older versions) sharing the cache; only
-        current entries are migrated/evicted.  All three content parts
-        must match — relations, constants, and domain size — or a
-        coincidence on relation content alone could adopt an artifact
-        whose constants this database never interpreted.
-        """
-        from repro.homomorphism.cache import _MISSING
-
-        fingerprint = key[1]
-        for name, fp in fingerprint[1]:
-            if name in structure.schema:
-                if fp != structure.relation_fingerprint(name):
-                    return False
-            elif fp is not None:
-                return False
-        for name, interpretation in fingerprint[2]:
-            if structure.interprets(name):
-                if interpretation != structure.constants[name]:
-                    return False
-            elif interpretation != _MISSING:
-                return False
-        if fingerprint[3] is not None and fingerprint[3] != len(
-            structure.domain
-        ):
-            return False
-        return True
-
     def _migrate_counts(
         self, delta: Delta, old: Structure, new: Structure
     ) -> tuple[int, int]:
-        """Migrate/evict count-cache entries; ``(invalidated, migrated)``."""
+        """Migrate/evict count-cache entries; ``(invalidated, migrated)``.
+
+        Only entries keyed by ``old`` (:func:`key_is_current`) are
+        touched: the cache may be shared with other databases, or hold
+        older versions of this one, whose entries stay as they are.
+        Both go through :meth:`CountCache.discard` / ``store``, so an
+        attached durable tier deletes the retired files and writes the
+        re-keyed ones.
+        """
         touched = delta.touched_relations()
         domain_changed = old.domain != new.domain
         invalidated = 0
         migrated = 0
         for key, value in self._cache.items():
-            depends = key_relations(key)
-            if depends is None:
+            dependencies = key_dependencies(key)
+            if dependencies is None:
                 # Foreign key shape: conservatively drop.
                 if self._cache.discard(key):
                     invalidated += 1
                 continue
-            affected = bool(depends & touched) or (
-                domain_changed and key_depends_on_domain(key)
-            )
-            if not affected:
+            if not is_affected(dependencies, touched, domain_changed):
                 continue  # key unchanged, entry stays exact
-            if not self._entry_is_current(key, old):
+            if not key_is_current(key, old):
                 continue  # another database's (or version's) entry
             component = key[0]
             if not delta_affects(component, delta, old, new):
@@ -242,8 +217,11 @@ class DeltaEvaluator:
                     component_fingerprint(component, new),
                     key[2],
                 )
-                self._cache.store(new_key, value)
-                self._cache.discard(key)
+                if new_key != key:  # a no-op delta keeps the key
+                    # Discard first: re-keying must never evict a
+                    # neighbour from a full cache.
+                    self._cache.discard(key)
+                    self._cache.store(new_key, value)
                 migrated += 1
             elif self._cache.discard(key):
                 invalidated += 1
@@ -255,33 +233,22 @@ class DeltaEvaluator:
         """Incrementally refresh this database's compiled artifacts."""
         touched = delta.touched_relations()
         domain_changed = old.domain != new.domain
+        artifacts = self._plan_cache.compiled
         refreshed = 0
-        items = getattr(self._plan_cache, "compiled_items", None)
-        if items is None:
-            return 0
-        for key, artifact in items():
-            if not (isinstance(key, tuple) and len(key) == 2):
+        for key, artifact in artifacts.items():
+            dependencies = key_dependencies(key)
+            if dependencies is None:
                 continue
-            component, fingerprint = key
-            if not (
-                isinstance(fingerprint, tuple)
-                and len(fingerprint) == 4
-                and fingerprint[0] == "§fp"
-            ):
-                continue
-            depends = frozenset(name for name, _ in fingerprint[1])
-            affected = bool(depends & touched) or (
-                domain_changed and fingerprint[3] is not None
-            )
-            if not affected:
+            if not is_affected(dependencies, touched, domain_changed):
                 continue  # new version hits the same key
-            if not self._entry_is_current((component, fingerprint), old):
+            if not key_is_current(key, old):
                 continue
             new_artifact = refresh_component(artifact, new, delta)
             if new_artifact is None:
                 continue  # pre-refresh artifact; a miss will recompile
-            new_key = (component, component_fingerprint(component, new))
-            self._plan_cache.store_compiled(new_key, new_artifact)
+            artifacts.store(
+                (key[0], component_fingerprint(key[0], new)), new_artifact
+            )
             refreshed += 1
         return refreshed
 

@@ -20,13 +20,17 @@ share one analysis, exactly as their counts share one evaluation in
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 
 from repro.homomorphism.acyclic import join_tree
-from repro.obs import metrics as obs_metrics
+from repro.homomorphism.cache import (
+    LRUTier,
+    canonical_component,
+    component_fingerprint,
+    is_affected,
+    key_dependencies,
+)
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Variable
 
@@ -46,9 +50,9 @@ PatternAtom = tuple[str, tuple[int, ...]]
 #: Default bound on cached component profiles (entries, not bytes).
 DEFAULT_PLAN_CACHE_SIZE = 2048
 
-#: Default bound on cached compiled artifacts — far smaller than the
-#: profile bound, since each artifact holds per-relation fact indexes.
-DEFAULT_COMPILED_CACHE_SIZE = 256
+#: Bound on cached compiled artifacts — far smaller than the profile
+#: bound, since each artifact holds per-relation fact indexes.
+COMPILED_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -160,8 +164,6 @@ def analyze_component(
     here.
     """
     if canonical is None:
-        from repro.homomorphism.cache import canonical_component
-
         canonical = canonical_component(component)
     return ComponentProfile(
         atom_count=component.atom_count,
@@ -177,133 +179,80 @@ def analyze_component(
 
 
 class PlanCache:
-    """A bounded, thread-safe LRU map from canonical components to profiles.
+    """Four :class:`~repro.homomorphism.cache.LRUTier` levels of planner state.
 
-    The durable key is the component's canonical (α-equivalence) form,
-    computed by :func:`repro.homomorphism.cache.canonical_component` — the
-    same keying discipline as
-    :class:`~repro.homomorphism.cache.CountCache`, so the two caches hit
-    on exactly the same repeated-component traffic.  An *exact-equality*
-    front level sits before canonicalization: search loops re-plan the
-    very same query object thousands of times, and a plain dict lookup is
-    far cheaper than 1-WL refinement.  Hits and misses are mirrored into
-    the active :mod:`repro.obs` registry as ``plan.cache_hits`` /
-    ``plan.cache_misses``.
+    * ``profiles`` maps canonical components — computed by
+      :func:`repro.homomorphism.cache.canonical_component`, the same
+      keying discipline as :class:`~repro.homomorphism.cache.CountCache`,
+      so both caches hit on exactly the same repeated-component traffic —
+      to their :class:`ComponentProfile`.  Its traffic is mirrored as
+      ``plan.cache_hits`` / ``plan.cache_misses`` /
+      ``plan.cache_evictions``; it is the level a durable store mirrors.
+    * ``compiled`` holds the *compiled artifacts* of
+      :mod:`repro.homomorphism.compiled`, keyed by ``(canonical
+      component, component_fingerprint)``: unlike profiles they depend on
+      the database, but only on the fact sets of the relations the
+      component reads (plus its constants and, for components with
+      atom-free variables, the domain size).  The fingerprint keying
+      makes the level version-aware: a database delta leaves every
+      artifact of untouched relations addressable, and delta evaluation
+      migrates the rest through the tier directly.  Traffic is mirrored
+      as ``plan.compile.cache_*``; the bound is the smaller
+      :data:`COMPILED_CACHE_SIZE`, since each artifact holds per-relation
+      fact indexes.  Artifacts are closures and are never persisted.
 
-    The cache also stores the *compiled artifacts* of
-    :mod:`repro.homomorphism.compiled` alongside the profile IR (see
-    :meth:`compiled_artifact`): those are keyed by ``(canonical
-    component, component_fingerprint)`` — unlike profiles they depend on
-    the database, but only on the fact sets of the relations the component
-    reads (plus its constants and, for components with atom-free
-    variables, the domain size).  The fingerprint keying makes the store
-    version-aware: a database delta leaves every artifact of untouched
-    relations addressable, and :meth:`invalidate_relations` /
-    :meth:`compiled_items` give delta evaluation relation-scoped eviction
-    and migration.  Artifacts have their own, smaller LRU bound and mirror
-    their traffic as ``plan.compile.cache_hits`` /
-    ``plan.compile.cache_misses``.
+    Each sits behind an *exact-equality* front level: search loops
+    re-plan the very same query object thousands of times, and a plain
+    dict lookup is far cheaper than 1-WL refinement.  A front hit counts
+    as a hit of the level behind it, so hits + misses is one per call.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_PLAN_CACHE_SIZE,
-        compiled_entries: int = DEFAULT_COMPILED_CACHE_SIZE,
-    ) -> None:
-        if max_entries < 1:
-            raise ValueError(f"cache needs max_entries >= 1, got {max_entries}")
-        if compiled_entries < 1:
-            raise ValueError(
-                f"cache needs compiled_entries >= 1, got {compiled_entries}"
-            )
-        self._max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self._front: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._compiled_max = compiled_entries
-        self._compiled: OrderedDict = OrderedDict()
-        self._compiled_front: OrderedDict = OrderedDict()
-        self._compiled_hits = 0
-        self._compiled_misses = 0
-        self._durable = None
+    def __init__(self, max_entries: int = DEFAULT_PLAN_CACHE_SIZE) -> None:
+        self.profiles = LRUTier(max_entries, "plan.cache_", durable_tier="plans")
+        self._profile_front = LRUTier(max_entries)
+        self.compiled = LRUTier(COMPILED_CACHE_SIZE, "plan.compile.cache_")
+        self._compiled_front = LRUTier(COMPILED_CACHE_SIZE)
+
+    @property
+    def durable(self):
+        """The durable store the profile level mirrors into, or ``None``."""
+        return self.profiles.durable
 
     def attach_durable(self, durable) -> None:
-        """Mirror the *profile* level into a durable tier.
+        """Mirror the profile level into a durable tier (see
+        :meth:`LRUTier.attach_durable`); compiled artifacts rebuild on
+        demand from restored profiles."""
+        self.profiles.attach_durable(durable)
 
-        ``durable`` (a :class:`repro.shard.persist.DurableCacheStore`)
-        receives ``record_plan(canonical, profile)`` after every
-        analysis miss, outside this cache's lock.  Compiled artifacts
-        are closures and never cross the hook — they rebuild on demand
-        from restored profiles.  Attaching replaces any previous tier;
-        ``None`` detaches.
+    @staticmethod
+    def _two_level(front: LRUTier, tier: LRUTier, front_key, canonical_key, build):
+        """``(value, was_hit)`` through ``front`` then ``tier``.
+
+        ``canonical_key()`` derives the canonical key only on a front
+        miss; ``build(key)`` computes the value only on a full miss.
         """
-        self._durable = durable
-
-    def _record_hit(self) -> None:
-        self._hits += 1
-        obs_metrics.add("plan.cache_hits")
+        value = front.lookup(front_key)
+        if value is not None:
+            tier.note_hit()
+            return value, True
+        key = canonical_key()
+        value = tier.lookup(key)
+        hit = value is not None
+        if not hit:
+            value = build(key)
+            tier.store(key, value)
+        front.store(front_key, value)
+        return value, hit
 
     def profile(self, component: ConjunctiveQuery) -> tuple[ComponentProfile, bool]:
         """``(profile, was_hit)`` for the component, analyzing on a miss."""
-        from repro.homomorphism.cache import canonical_component
-
-        with self._lock:
-            cached = self._front.get(component)
-            if cached is not None:
-                self._front.move_to_end(component)
-                self._record_hit()
-                return cached, True
-        key = canonical_component(component)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self._entries.move_to_end(key)
-                self._store_front(component, cached)
-                self._record_hit()
-                return cached, True
-            self._misses += 1
-        obs_metrics.add("plan.cache_misses")
-        computed = analyze_component(component, key)
-        with self._lock:
-            self._entries[key] = computed
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-            self._store_front(component, computed)
-        if self._durable is not None:
-            self._durable.record_plan(key, computed)
-        return computed, False
-
-    def profile_items(self) -> list[tuple]:
-        """Snapshot of the canonical profile store (coldest first) —
-        what ``snapshot`` persists.  Front-level (exact-object) entries
-        are derived and excluded."""
-        with self._lock:
-            return list(self._entries.items())
-
-    def store_profile(
-        self, component: ConjunctiveQuery, profile: ComponentProfile
-    ) -> None:
-        """Insert a profile under an externally-computed canonical key.
-
-        Restore uses this to warm the canonical level without paying
-        re-analysis; the exact-object front refills naturally on use.
-        """
-        with self._lock:
-            self._entries[component] = profile
-            self._entries.move_to_end(component)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-    def _store_front(
-        self, component: ConjunctiveQuery, profile: ComponentProfile
-    ) -> None:
-        self._front[component] = profile
-        self._front.move_to_end(component)
-        while len(self._front) > self._max_entries:
-            self._front.popitem(last=False)
+        return self._two_level(
+            self._profile_front,
+            self.profiles,
+            component,
+            lambda: canonical_component(component),
+            lambda key: analyze_component(component, key),
+        )
 
     def compiled_artifact(self, component: ConjunctiveQuery, structure, build):
         """``(artifact, was_hit)``; calls ``build(canonical, structure)`` on a miss.
@@ -312,72 +261,22 @@ class PlanCache:
         *canonical* form, so α-equivalent components on the same
         structure — the ``φ ↑ k`` copies — share one compilation.
         Homomorphism counts are invariant under variable renaming, which
-        is exactly what makes the shared artifact sound.  An
-        exact-equality front level mirrors :meth:`profile`'s.
+        is exactly what makes the shared artifact sound.
         """
-        from repro.homomorphism.cache import (
-            canonical_component,
-            component_fingerprint,
+        return self._two_level(
+            self._compiled_front,
+            self.compiled,
+            (component, structure),
+            lambda: (
+                canonical_component(component),
+                component_fingerprint(component, structure),
+            ),
+            lambda key: build(key[0], structure),
         )
 
-        front_key = (component, structure)
-        with self._lock:
-            cached = self._compiled_front.get(front_key)
-            if cached is not None:
-                self._compiled_front.move_to_end(front_key)
-                self._compiled_hits += 1
-                obs_metrics.add("plan.compile.cache_hits")
-                return cached, True
-        key = (
-            canonical_component(component),
-            component_fingerprint(component, structure),
-        )
-        with self._lock:
-            cached = self._compiled.get(key)
-            if cached is not None:
-                self._compiled.move_to_end(key)
-                self._store_compiled_front(front_key, cached)
-                self._compiled_hits += 1
-                obs_metrics.add("plan.compile.cache_hits")
-                return cached, True
-            self._compiled_misses += 1
-        obs_metrics.add("plan.compile.cache_misses")
-        artifact = build(key[0], structure)
-        with self._lock:
-            self._compiled[key] = artifact
-            self._compiled.move_to_end(key)
-            while len(self._compiled) > self._compiled_max:
-                self._compiled.popitem(last=False)
-            self._store_compiled_front(front_key, artifact)
-        return artifact, False
-
-    def _store_compiled_front(self, front_key, artifact) -> None:
-        self._compiled_front[front_key] = artifact
-        self._compiled_front.move_to_end(front_key)
-        while len(self._compiled_front) > self._compiled_max:
-            self._compiled_front.popitem(last=False)
-
-    def compiled_items(self) -> list[tuple]:
-        """Snapshot of the durable artifact store (for delta migration)."""
-        with self._lock:
-            return list(self._compiled.items())
-
-    def compiled_discard(self, key) -> bool:
-        """Drop one durable artifact entry; True when it was present."""
-        with self._lock:
-            return self._compiled.pop(key, None) is not None
-
-    def store_compiled(self, key, artifact) -> None:
-        """Insert a durable artifact under an externally-computed key.
-
-        Delta evaluation uses this to re-home a refreshed artifact under
-        the mutated database's fingerprint without paying a rebuild.
-        """
-        with self._lock:
-            self._compiled[key] = artifact
-            self._compiled.move_to_end(key)
-            while len(self._compiled) > self._compiled_max:
-                self._compiled.popitem(last=False)
+    def compiled_stats(self) -> dict:
+        """The artifact level's :meth:`LRUTier.stats` (reports, tests)."""
+        return self.compiled.stats()
 
     def invalidate_relations(
         self, relations, *, domain_changed: bool = False
@@ -388,72 +287,51 @@ class PlanCache:
         exact-object front level is cleared wholesale: its keys embed full
         structures, so stale entries can never be *hit* after a mutation,
         but dropping them keeps the store's contents meaningful.  Returns
-        the number of durable entries evicted.
+        the number of artifacts evicted.
         """
         touched = frozenset(relations)
-        dropped = 0
-        with self._lock:
-            for key in list(self._compiled):
-                fingerprint = key[1] if isinstance(key, tuple) and len(key) == 2 else None
-                if (
-                    isinstance(fingerprint, tuple)
-                    and len(fingerprint) == 4
-                    and fingerprint[0] == "§fp"
-                ):
-                    depends = frozenset(name for name, _ in fingerprint[1])
-                    affected = bool(depends & touched) or (
-                        domain_changed and fingerprint[3] is not None
-                    )
-                else:
-                    affected = True
-                if affected:
-                    del self._compiled[key]
-                    dropped += 1
-            self._compiled_front.clear()
+        dropped = self.compiled.discard_where(
+            lambda key: is_affected(
+                key_dependencies(key), touched, domain_changed
+            )
+        )
+        self._compiled_front.clear()
         return dropped
 
-    def compiled_stats(self) -> dict:
-        """A plain-data snapshot of the artifact store (reports, tests)."""
-        return {
-            "entries": len(self._compiled),
-            "max_entries": self._compiled_max,
-            "hits": self._compiled_hits,
-            "misses": self._compiled_misses,
-        }
-
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._front.clear()
-            self._compiled.clear()
-            self._compiled_front.clear()
+        for tier in (
+            self.profiles,
+            self._profile_front,
+            self.compiled,
+            self._compiled_front,
+        ):
+            tier.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.profiles)
 
     @property
     def max_entries(self) -> int:
-        return self._max_entries
+        return self.profiles.max_entries
 
     @property
     def hits(self) -> int:
-        return self._hits
+        return self.profiles.hits
 
     @property
     def misses(self) -> int:
-        return self._misses
+        return self.profiles.misses
 
     def stats(self) -> dict:
-        """A plain-data snapshot for reports and tests."""
+        """Profile-level ``entries``/``max_entries``/``hits``/``misses``."""
+        stats = self.profiles.stats()
         return {
-            "entries": len(self._entries),
-            "max_entries": self._max_entries,
-            "hits": self._hits,
-            "misses": self._misses,
+            name: stats[name]
+            for name in ("entries", "max_entries", "hits", "misses")
         }
 
     def __repr__(self) -> str:
         return (
-            f"PlanCache(entries={len(self._entries)}/{self._max_entries}, "
-            f"hits={self._hits}, misses={self._misses})"
+            f"PlanCache(entries={len(self)}/{self.max_entries}, "
+            f"hits={self.hits}, misses={self.misses})"
         )

@@ -57,6 +57,7 @@ _PLAN_COUNTERS = (
     "plan.components",
     "plan.cache_hits",
     "plan.cache_misses",
+    "plan.cache_evictions",
     "plan.selected.backtracking",
     "plan.selected.treewidth",
     "plan.selected.acyclic",
@@ -64,6 +65,7 @@ _PLAN_COUNTERS = (
     "plan.compile.builds",
     "plan.compile.cache_hits",
     "plan.compile.cache_misses",
+    "plan.compile.cache_evictions",
 )
 
 #: Process-wide profile cache: planning is pure query analysis, so sharing
@@ -85,8 +87,8 @@ def plan_cache_occupancy(cache: PlanCache | None = None) -> dict:
     """
     plan_cache = cache if cache is not None else _DEFAULT_PLAN_CACHE
     return {
-        "profiles": plan_cache.stats(),
-        "compiled": plan_cache.compiled_stats(),
+        "profiles": plan_cache.profiles.stats(),
+        "compiled": plan_cache.compiled.stats(),
     }
 
 

@@ -385,7 +385,7 @@ class EvaluationServer:
 
             self.count_cache.attach_durable(None)
             for cache in (default_plan_cache(), default_containment_cache()):
-                if getattr(cache, "_durable", None) is self.durable:
+                if cache.durable is self.durable:
                     cache.attach_durable(None)
 
     def __enter__(self) -> "EvaluationServer":

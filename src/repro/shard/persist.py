@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import BagCQError
+from repro.homomorphism.cache import is_affected, key_dependencies
 from repro.io import query_from_dict, query_to_dict
 from repro.obs import metrics as obs_metrics
 from repro.queries.cq import ConjunctiveQuery
@@ -53,9 +54,6 @@ __all__ = [
 #: Format stamp carried by every entry; bump on incompatible layout
 #: changes so old snapshots are rejected (skipped), not misread.
 FORMAT_VERSION = 1
-
-#: The three persisted tiers, each its own subdirectory of the root.
-TIERS = ("counts", "plans", "containment")
 
 #: The ``shard.snapshot.*`` counter family, pre-registered at zero by
 #: every server that owns a durable store (deterministic scrapes).
@@ -123,6 +121,149 @@ def _require(condition: bool, message: str) -> None:
         raise SnapshotError(message)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# -- per-tier codecs ---------------------------------------------------------
+#
+# ``encode(key, value)`` returns a tier's entry fields, or ``None`` for a
+# key or value of a shape the format does not know (foreign entries are
+# simply not persisted); it may also raise ``BagCQError``.  ``decode``
+# inverts it, raising on anything suspect.  The ``format``/``tier`` stamp
+# is added (and checked) by the shared path.
+
+
+def _encode_count(key, value) -> dict | None:
+    dependencies = key_dependencies(key)
+    if not (
+        dependencies is not None
+        and len(key) == 3
+        and isinstance(key[0], ConjunctiveQuery)
+        and isinstance(key[2], str)
+        and _is_count(value)
+    ):
+        return None
+    relations, domain_dependent = dependencies
+    return {
+        "component": query_to_dict(key[0]),
+        "fingerprint": _encode_value(key[1]),
+        "engine": key[2],
+        "value": value,
+        "relations": sorted(relations),
+        "domain_dependent": domain_dependent,
+    }
+
+
+def _decode_count(entry: dict) -> tuple[tuple, int]:
+    component = query_from_dict(entry["component"])
+    fingerprint = _decode_value(entry["fingerprint"])
+    engine = entry["engine"]
+    value = entry["value"]
+    _require(isinstance(engine, str), "'engine' must be a string")
+    _require(_is_count(value), "'value' must be an integer count")
+    _require(
+        isinstance(fingerprint, tuple) and len(fingerprint) == 4,
+        "'fingerprint' must decode to a 4-tuple",
+    )
+    return (component, fingerprint, engine), value
+
+
+def _encode_plan(component, profile) -> dict | None:
+    if not isinstance(component, ConjunctiveQuery):
+        return None
+    return {
+        "component": query_to_dict(component),
+        "profile": {
+            "atom_count": profile.atom_count,
+            "variable_count": profile.variable_count,
+            "inequality_count": profile.inequality_count,
+            "acyclic": profile.acyclic,
+            "treewidth_bound": profile.treewidth_bound,
+            "relations": [list(pair) for pair in profile.relations],
+            "join_pattern": [
+                [relation, list(terms)]
+                for relation, terms in profile.join_pattern
+            ],
+        },
+    }
+
+
+def _decode_plan(entry: dict) -> tuple:
+    from repro.planner.analyze import ComponentProfile
+
+    raw = entry["profile"]
+    profile = ComponentProfile(
+        atom_count=int(raw["atom_count"]),
+        variable_count=int(raw["variable_count"]),
+        inequality_count=int(raw["inequality_count"]),
+        acyclic=bool(raw["acyclic"]),
+        treewidth_bound=int(raw["treewidth_bound"]),
+        relations=tuple(
+            (str(name), int(arity)) for name, arity in raw["relations"]
+        ),
+        join_pattern=tuple(
+            (str(relation), tuple(int(term) for term in terms))
+            for relation, terms in raw["join_pattern"]
+        ),
+    )
+    return query_from_dict(entry["component"]), profile
+
+
+def _encode_containment(key, value) -> dict | None:
+    if not (
+        isinstance(key, tuple)
+        and len(key) == 3
+        and isinstance(key[0], ConjunctiveQuery)
+        and isinstance(key[1], ConjunctiveQuery)
+        and isinstance(key[2], str)
+        and isinstance(value, tuple)
+        and len(value) == 2
+        and isinstance(value[0], bool)
+        and (value[1] is None or isinstance(value[1], int))
+    ):
+        return None
+    return {
+        "phi_s": query_to_dict(key[0]),
+        "phi_b": query_to_dict(key[1]),
+        "engine": key[2],
+        "contained": value[0],
+        "phi_s_count": value[1],
+    }
+
+
+def _decode_containment(entry: dict) -> tuple[tuple, tuple]:
+    phi_s = query_from_dict(entry["phi_s"])
+    phi_b = query_from_dict(entry["phi_b"])
+    engine = entry["engine"]
+    contained = entry["contained"]
+    phi_s_count = entry["phi_s_count"]
+    _require(isinstance(engine, str), "bad engine")
+    _require(isinstance(contained, bool), "bad verdict")
+    _require(phi_s_count is None or _is_count(phi_s_count), "bad phi_s_count")
+    return (phi_s, phi_b, engine), (contained, phi_s_count)
+
+
+#: tier → ``(encode, decode)``; the tiers are the store's subdirectories.
+_CODECS = {
+    "counts": (_encode_count, _decode_count),
+    "plans": (_encode_plan, _decode_plan),
+    "containment": (_encode_containment, _decode_containment),
+}
+
+TIERS = tuple(_CODECS)
+
+
+def _count_dependencies(entry) -> tuple[frozenset, bool] | None:
+    """A count entry's ``(relations, domain_dependent)`` index record, or
+    ``None`` when it does not say (such files are dropped on any
+    invalidation)."""
+    try:
+        return frozenset(entry["relations"]), bool(entry["domain_dependent"])
+    except (KeyError, TypeError):
+        return None
+
+
 @dataclass(frozen=True)
 class RestoreReport:
     """What one tier's restore pass did."""
@@ -138,9 +279,10 @@ class DurableCacheStore:
     """One directory of content-addressed cache entries, three tiers deep.
 
     Attach to the caches via their ``attach_durable`` hooks: stores
-    write through (one file per entry, idempotent), relation-scoped
+    write through (:meth:`record`, one file per entry, idempotent),
+    retired entries are deleted (:meth:`forget`), relation-scoped
     invalidation deletes the affected count files, and
-    ``restore_*``/``save_*`` bulk-sync a cache with the disk.  All
+    :meth:`save`/:meth:`restore` bulk-sync a cache with the disk.  All
     disk I/O happens outside the caches' locks (the hooks are called
     post-store), so the hot path never blocks on the filesystem.
 
@@ -152,7 +294,6 @@ class DurableCacheStore:
     def __init__(self, root, registry=None) -> None:
         self.root = Path(root)
         self._registry = registry
-        self._suspended = False
         self._index_lock = threading.Lock()
         #: digest → (relation names, depends-on-domain) for count entries
         #: (``None`` for undecodable files, dropped on any invalidation);
@@ -177,9 +318,28 @@ class DurableCacheStore:
     def _tier_dir(self, tier: str) -> Path:
         return self.root / tier
 
+    def _index(self, tier: str, digest: str, entry) -> None:
+        if tier == "counts":
+            with self._index_lock:
+                self._count_index[digest] = _count_dependencies(entry)
+
+    def _encode(self, tier: str, key, value) -> dict | None:
+        """The stamped entry for one cache item, or ``None`` (skipped)."""
+        encode, _decode = _CODECS[tier]
+        try:
+            fields = encode(key, value)
+        except BagCQError:
+            return None
+        if fields is None:
+            return None
+        return {"format": FORMAT_VERSION, "tier": tier, **fields}
+
     def _write_entry(self, tier: str, entry: dict) -> str:
         digest = _entry_digest(entry)
         path = self._tier_dir(tier) / f"{digest}.json"
+        # Content addressing makes an existing file this exact entry:
+        # re-recording (a restore replaying into an attached cache) is a
+        # no-op, never a rewrite.
         if not path.exists():
             try:
                 path.write_text(
@@ -193,16 +353,15 @@ class DurableCacheStore:
             self._count("shard.snapshot.saved")
         return digest
 
-    def _iter_entries(self, tier: str, rejected_paths: list | None = None):
+    def _iter_entries(self, tier: str, rejected_paths: list):
         """Yield ``(path, entry)`` for decodable files; count the rest.
 
         The gate every entry passes before a cache sees it: valid JSON,
         a JSON-object payload, the current format stamp, the right
         tier, and a filename that matches the content digest (a
         truncated or hand-edited file fails here).  Gate failures tick
-        ``shard.snapshot.rejected`` and, when the caller passes
-        ``rejected_paths``, land there so restore reports can include
-        them.
+        ``shard.snapshot.rejected`` and land in ``rejected_paths`` so
+        restore reports can include them.
         """
         for path in sorted(self._tier_dir(tier).glob("*.json")):
             try:
@@ -217,135 +376,96 @@ class DurableCacheStore:
                 or _entry_digest(entry) != path.stem
             ):
                 self._count("shard.snapshot.rejected")
-                if rejected_paths is not None:
-                    rejected_paths.append(path)
+                rejected_paths.append(path)
                 continue
             yield path, entry
 
-    def _suspend(self):
-        """Mute write-through while a restore replays entries into a cache
-        (the cache's store hook would otherwise rewrite every file it
-        just read)."""
-        store = self
+    def _unlink(self, tier: str, digests) -> int:
+        """Delete entry files; the number actually removed, counted as
+        ``shard.snapshot.invalidated``."""
+        dropped = 0
+        for digest in digests:
+            try:
+                (self._tier_dir(tier) / f"{digest}.json").unlink()
+                dropped += 1
+            except OSError:
+                continue
+        self._count("shard.snapshot.invalidated", dropped)
+        return dropped
 
-        class _Muted:
-            def __enter__(self):
-                store._suspended = True
+    # -- the sink the caches call ------------------------------------------
 
-            def __exit__(self, *exc_info):
-                store._suspended = False
+    def record(self, tier: str, key, value) -> bool:
+        """Write-through hook: persist one stored entry; False when its
+        shape is not persistable."""
+        entry = self._encode(tier, key, value)
+        if entry is None:
+            return False
+        self._index(tier, self._write_entry(tier, entry), entry)
+        return True
 
-        return _Muted()
-
-    # -- counts tier -------------------------------------------------------
-
-    def _encode_count_entry(self, key, value) -> dict | None:
-        """The counts-tier entry for one cache item, or ``None`` when the
-        key has a shape this format does not recognize (foreign keys are
-        simply not persisted — same conservatism as
-        :func:`~repro.homomorphism.cache.key_relations`)."""
-        from repro.homomorphism.cache import (
-            key_depends_on_domain,
-            key_relations,
-        )
-
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and isinstance(key[0], ConjunctiveQuery)
-            and isinstance(key[2], str)
-        ):
-            return None
-        relations = key_relations(key)
-        if relations is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            return None
-        try:
-            fingerprint = _encode_value(key[1])
-            component = query_to_dict(key[0])
-        except BagCQError:
-            return None
-        return {
-            "format": FORMAT_VERSION,
-            "tier": "counts",
-            "component": component,
-            "fingerprint": fingerprint,
-            "engine": key[2],
-            "value": value,
-            "relations": sorted(relations),
-            "domain_dependent": key_depends_on_domain(key),
-        }
-
-    def _decode_count_entry(self, entry: dict) -> tuple[tuple, int]:
-        component = query_from_dict(entry["component"])
-        fingerprint = _decode_value(entry["fingerprint"])
-        engine = entry["engine"]
-        value = entry["value"]
-        _require(isinstance(engine, str), "'engine' must be a string")
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            "'value' must be an integer count",
-        )
-        _require(
-            isinstance(fingerprint, tuple) and len(fingerprint) == 4,
-            "'fingerprint' must decode to a 4-tuple",
-        )
-        return (component, fingerprint, engine), value
-
-    def record_count(self, key, value) -> None:
-        """Write-through hook: persist one freshly stored count."""
-        if self._suspended:
-            return
-        entry = self._encode_count_entry(key, value)
+    def forget(self, tier: str, key, value) -> None:
+        """Discard hook: delete the file of one retired entry."""
+        entry = self._encode(tier, key, value)
         if entry is None:
             return
-        digest = self._write_entry("counts", entry)
+        digest = _entry_digest(entry)
         with self._index_lock:
-            self._count_index[digest] = (
-                frozenset(entry["relations"]),
-                entry["domain_dependent"],
-            )
+            self._count_index.pop(digest, None)
+        self._unlink(tier, [digest])
 
-    def save_counts(self, cache) -> int:
-        """Persist every recognizable entry of a ``CountCache``."""
-        saved = 0
-        for key, value in cache.items():
-            entry = self._encode_count_entry(key, value)
-            if entry is None:
-                continue
-            digest = self._write_entry("counts", entry)
-            with self._index_lock:
-                self._count_index[digest] = (
-                    frozenset(entry["relations"]),
-                    entry["domain_dependent"],
-                )
-            saved += 1
-        return saved
+    # -- bulk sync ---------------------------------------------------------
 
-    def restore_counts(self, cache) -> RestoreReport:
-        """Warm a ``CountCache`` from disk, skipping anything suspect."""
+    def save(self, cache) -> int:
+        """Persist every persistable entry of an
+        :class:`~repro.homomorphism.cache.LRUTier` whose
+        ``durable_tier`` names one of this store's tiers."""
+        return sum(
+            self.record(cache.durable_tier, key, value)
+            for key, value in cache.items()
+        )
+
+    def restore(self, cache) -> RestoreReport:
+        """Warm a tier from disk, skipping anything suspect.
+
+        Values enter the cache only after the gate *and* a full decode;
+        decode failures tick ``shard.snapshot.rejected`` like gate
+        failures do.
+        """
+        tier = cache.durable_tier
+        _encode, decode = _CODECS[tier]
         loaded = 0
         rejected = 0
         gate_rejects: list = []
-        with self._suspend():
-            for path, entry in self._iter_entries("counts", gate_rejects):
-                try:
-                    key, value = self._decode_count_entry(entry)
-                except (BagCQError, KeyError, TypeError, ValueError):
-                    rejected += 1
-                    continue
-                cache.store(key, value)
-                with self._index_lock:
-                    self._count_index[path.stem] = (
-                        frozenset(entry.get("relations", ())),
-                        bool(entry.get("domain_dependent", True)),
-                    )
-                loaded += 1
+        for path, entry in self._iter_entries(tier, gate_rejects):
+            try:
+                key, value = decode(entry)
+            except (BagCQError, KeyError, TypeError, ValueError):
+                rejected += 1
+                continue
+            cache.store(key, value)
+            self._index(tier, path.stem, entry)
+            loaded += 1
         self._count("shard.snapshot.loaded", loaded)
         # Gate failures already ticked the counter inside _iter_entries.
         self._count("shard.snapshot.rejected", rejected)
         return RestoreReport(loaded, rejected + len(gate_rejects))
+
+    # Per-cache shorthands (a PlanCache persists its profile level).
+
+    def save_counts(self, cache) -> int:
+        return self.save(cache)
+
+    def restore_counts(self, cache) -> RestoreReport:
+        return self.restore(cache)
+
+    def restore_plans(self, cache) -> RestoreReport:
+        return self.restore(cache.profiles)
+
+    def restore_containment(self, cache) -> RestoreReport:
+        return self.restore(cache)
+
+    # -- relation-scoped invalidation of the counts tier ------------------
 
     def _scan_count_index(self) -> None:
         """Build the relations index from whatever is on disk already.
@@ -353,19 +473,16 @@ class DurableCacheStore:
         Runs at construction (without counters: scanning is not a
         restore) so ``/update`` invalidation covers entries written by
         an earlier process even before any restore happened.
+        Undecodable files are conservatively indexed as depending on
+        everything, so invalidation removes them.
         """
         for path in self._tier_dir("counts").glob("*.json"):
             try:
                 with path.open("r", encoding="utf-8") as handle:
                     entry = json.load(handle)
-                relations = frozenset(entry["relations"])
-                domain_dependent = bool(entry["domain_dependent"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # Undecodable files are conservatively indexed as
-                # depending on everything, so invalidation removes them.
-                self._count_index[path.stem] = None
-                continue
-            self._count_index[path.stem] = (relations, domain_dependent)
+            except (OSError, ValueError):
+                entry = None
+            self._count_index[path.stem] = _count_dependencies(entry)
 
     def invalidate_relations(
         self, relations, *, domain_changed: bool = False
@@ -373,224 +490,36 @@ class DurableCacheStore:
         """Delete persisted counts depending on any of ``relations``.
 
         The disk mirror of ``CountCache.invalidate_relations`` — called
-        by it, so a ``/update`` that evicts in-memory entries evicts
-        their files in the same breath.
+        by it, so an in-memory eviction evicts the files in the same
+        breath, including files this process never loaded.
         """
         touched = frozenset(relations)
         with self._index_lock:
             victims = [
                 digest
                 for digest, indexed in self._count_index.items()
-                if indexed is None  # undecodable: drop conservatively
-                or bool(indexed[0] & touched)
-                or (domain_changed and indexed[1])
+                if is_affected(indexed, touched, domain_changed)
             ]
             for digest in victims:
                 self._count_index.pop(digest, None)
-        dropped = 0
-        for digest in victims:
-            path = self._tier_dir("counts") / f"{digest}.json"
-            try:
-                path.unlink()
-                dropped += 1
-            except OSError:
-                continue
-        self._count("shard.snapshot.invalidated", dropped)
-        return dropped
-
-    # -- plans tier --------------------------------------------------------
-
-    def record_plan(self, component: ConjunctiveQuery, profile) -> None:
-        """Write-through hook: persist one freshly analyzed profile."""
-        if self._suspended:
-            return
-        try:
-            entry = {
-                "format": FORMAT_VERSION,
-                "tier": "plans",
-                "component": query_to_dict(component),
-                "profile": {
-                    "atom_count": profile.atom_count,
-                    "variable_count": profile.variable_count,
-                    "inequality_count": profile.inequality_count,
-                    "acyclic": profile.acyclic,
-                    "treewidth_bound": profile.treewidth_bound,
-                    "relations": [list(pair) for pair in profile.relations],
-                    "join_pattern": [
-                        [relation, list(terms)]
-                        for relation, terms in profile.join_pattern
-                    ],
-                },
-            }
-        except BagCQError:
-            return
-        self._write_entry("plans", entry)
-
-    def save_plans(self, cache) -> int:
-        """Persist every profile of a ``PlanCache`` (artifacts never)."""
-        saved = 0
-        for component, profile in cache.profile_items():
-            self.record_plan(component, profile)
-            saved += 1
-        return saved
-
-    def restore_plans(self, cache) -> RestoreReport:
-        """Warm a ``PlanCache``'s profile level from disk."""
-        from repro.planner.analyze import ComponentProfile
-
-        loaded = 0
-        rejected = 0
-        gate_rejects: list = []
-        with self._suspend():
-            for _path, entry in self._iter_entries("plans", gate_rejects):
-                try:
-                    component = query_from_dict(entry["component"])
-                    raw = entry["profile"]
-                    profile = ComponentProfile(
-                        atom_count=int(raw["atom_count"]),
-                        variable_count=int(raw["variable_count"]),
-                        inequality_count=int(raw["inequality_count"]),
-                        acyclic=bool(raw["acyclic"]),
-                        treewidth_bound=int(raw["treewidth_bound"]),
-                        relations=tuple(
-                            (str(name), int(arity))
-                            for name, arity in raw["relations"]
-                        ),
-                        join_pattern=tuple(
-                            (str(relation), tuple(int(term) for term in terms))
-                            for relation, terms in raw["join_pattern"]
-                        ),
-                    )
-                except (BagCQError, KeyError, TypeError, ValueError):
-                    rejected += 1
-                    continue
-                cache.store_profile(component, profile)
-                loaded += 1
-        self._count("shard.snapshot.loaded", loaded)
-        self._count("shard.snapshot.rejected", rejected)
-        return RestoreReport(loaded, rejected + len(gate_rejects))
-
-    # -- containment tier --------------------------------------------------
-
-    def record_containment(self, key, value) -> None:
-        """Write-through hook: persist one freshly decided verdict."""
-        if self._suspended:
-            return
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and isinstance(key[0], ConjunctiveQuery)
-            and isinstance(key[1], ConjunctiveQuery)
-            and isinstance(key[2], str)
-        ):
-            return
-        if not (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and isinstance(value[0], bool)
-            and (value[1] is None or isinstance(value[1], int))
-        ):
-            return
-        try:
-            entry = {
-                "format": FORMAT_VERSION,
-                "tier": "containment",
-                "phi_s": query_to_dict(key[0]),
-                "phi_b": query_to_dict(key[1]),
-                "engine": key[2],
-                "contained": value[0],
-                "phi_s_count": value[1],
-            }
-        except BagCQError:
-            return
-        self._write_entry("containment", entry)
-
-    def save_containment(self, cache) -> int:
-        """Persist every verdict of a ``ContainmentCache``."""
-        saved = 0
-        for key, value in cache.items():
-            self.record_containment(key, value)
-            saved += 1
-        return saved
-
-    def restore_containment(self, cache) -> RestoreReport:
-        """Warm a ``ContainmentCache`` from disk."""
-        loaded = 0
-        rejected = 0
-        gate_rejects: list = []
-        with self._suspend():
-            for _path, entry in self._iter_entries(
-                "containment", gate_rejects
-            ):
-                try:
-                    phi_s = query_from_dict(entry["phi_s"])
-                    phi_b = query_from_dict(entry["phi_b"])
-                    engine = entry["engine"]
-                    contained = entry["contained"]
-                    phi_s_count = entry["phi_s_count"]
-                    _require(isinstance(engine, str), "bad engine")
-                    _require(isinstance(contained, bool), "bad verdict")
-                    _require(
-                        phi_s_count is None
-                        or (
-                            isinstance(phi_s_count, int)
-                            and not isinstance(phi_s_count, bool)
-                        ),
-                        "bad phi_s_count",
-                    )
-                except (BagCQError, KeyError, TypeError, ValueError):
-                    rejected += 1
-                    continue
-                cache.store((phi_s, phi_b, engine), (contained, phi_s_count))
-                loaded += 1
-        self._count("shard.snapshot.loaded", loaded)
-        self._count("shard.snapshot.rejected", rejected)
-        return RestoreReport(loaded, rejected + len(gate_rejects))
-
-    def invalidate_containment_relations(self, relations) -> int:
-        """Delete persisted verdicts mentioning any of ``relations``.
-
-        The disk mirror of ``ContainmentCache.invalidate_relations``
-        (schema-level changes only; database deltas never stale a
-        verdict).  Files must be decoded to know their relations —
-        acceptable, since schema redefinition is rare and offline.
-        """
-        touched = frozenset(relations)
-        dropped = 0
-        for path, entry in list(self._iter_entries("containment")):
-            try:
-                phi_s = query_from_dict(entry["phi_s"])
-                phi_b = query_from_dict(entry["phi_b"])
-                mentioned = {atom.relation for atom in phi_s.atoms}
-                mentioned.update(atom.relation for atom in phi_b.atoms)
-                affected = bool(mentioned & touched)
-            except (BagCQError, KeyError, TypeError, ValueError):
-                affected = True
-            if affected:
-                try:
-                    path.unlink()
-                    dropped += 1
-                except OSError:
-                    continue
-        self._count("shard.snapshot.invalidated", dropped)
-        return dropped
+        return self._unlink("counts", victims)
 
     # -- whole-store operations --------------------------------------------
 
     def save_all(self, count_cache, plan_cache, containment_cache) -> dict:
         """Persist all three caches; the ``/snapshot`` response body."""
         return {
-            "counts": self.save_counts(count_cache),
-            "plans": self.save_plans(plan_cache),
-            "containment": self.save_containment(containment_cache),
+            "counts": self.save(count_cache),
+            "plans": self.save(plan_cache.profiles),
+            "containment": self.save(containment_cache),
         }
 
     def restore_all(self, count_cache, plan_cache, containment_cache) -> dict:
         """Warm all three caches; the startup warm-restore report."""
         return {
-            "counts": self.restore_counts(count_cache).to_dict(),
-            "plans": self.restore_plans(plan_cache).to_dict(),
-            "containment": self.restore_containment(containment_cache).to_dict(),
+            "counts": self.restore(count_cache).to_dict(),
+            "plans": self.restore(plan_cache.profiles).to_dict(),
+            "containment": self.restore(containment_cache).to_dict(),
         }
 
     def stats(self) -> dict:

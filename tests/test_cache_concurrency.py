@@ -18,6 +18,7 @@ check the invariants the service depends on:
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
@@ -26,6 +27,7 @@ from repro.homomorphism import count
 from repro.homomorphism.cache import CountCache, component_cache_key
 from repro.planner.analyze import PlanCache, analyze_component
 from repro.queries import parse_query
+from repro.queries.terms import Variable
 from repro.relational import Schema, Structure
 from repro.workloads import cycle_query, path_query
 
@@ -232,6 +234,148 @@ class TestPlanCacheConcurrency:
         profile, hit = cache.profile(cycle_query(5, prefix="fresh_"))
         assert hit is True
         assert profile == analyze_component(renamed[0])
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads far more often than the default 5 ms, so races in
+    the code under test get a chance to interleave."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(previous)
+
+
+def _renamed(query, prefix: str):
+    return query.rename(
+        {variable: Variable(prefix + variable.name) for variable in query.variables}
+    )
+
+
+def _sample_sizes(tier, body):
+    """Run ``body`` while a watcher thread samples ``len(tier)``."""
+    stop = threading.Event()
+    sizes: list[int] = []
+
+    def sampler():
+        while not stop.is_set():
+            sizes.append(len(tier))
+
+    watcher = threading.Thread(target=sampler)
+    watcher.start()
+    try:
+        body()
+    finally:
+        stop.set()
+        watcher.join(timeout=30)
+    assert sizes, "the sampler must have observed the cache"
+    return sizes
+
+
+class TestContainmentCacheConcurrency:
+    PAIRS = [
+        ("E(x, y) & E(y, z) & E(z, x)", "E(u, v) & E(v, u)"),
+        ("E(x, y) & E(y, x)", "E(u, v)"),
+        ("E(x, y) & E(y, z)", "E(u, v) & E(v, w) & E(w, t)"),
+        ("E(x, x)", "E(u, v) & E(v, w) & E(w, u)"),
+        ("E(x, y) & E(y, z) & E(z, t)", "E(u, v) & E(v, w)"),
+        ("E(x, y) & E(x, z)", "E(u, v) & E(v, u)"),
+    ]
+
+    def test_accounting_bound_and_verdicts_under_contention(
+        self, fast_switching
+    ):
+        from repro.containment_set import ContainmentCache, cq_containment
+
+        def verdicts(cache, prefix):
+            return [
+                (result.contained, result.certificate and result.certificate.lhs)
+                for result in (
+                    cq_containment(
+                        _renamed(parse_query(phi_s), prefix),
+                        parse_query(phi_b),
+                        engine="backtracking",
+                        cache=cache,
+                    )
+                    for phi_s, phi_b in self.PAIRS
+                )
+            ]
+
+        serial = verdicts(ContainmentCache(), "serial_")
+        capacity = 4  # fewer slots than distinct pairs: eviction churn
+        shared = ContainmentCache(max_entries=capacity)
+        rounds = 20
+        results: dict[int, list] = {}
+
+        def prober(index):
+            results[index] = [
+                verdicts(shared, f"t{index}_{round_}_")
+                for round_ in range(rounds)
+            ]
+
+        sizes = _sample_sizes(shared, lambda: _run_threads(prober))
+        for index in range(THREADS):
+            assert results[index] == [serial] * rounds
+        stats = shared.stats()
+        assert stats["hits"] + stats["misses"] == (
+            THREADS * rounds * len(self.PAIRS)
+        )
+        assert stats["evictions"] > 0
+        assert max(sizes) <= capacity
+        assert len(shared) == capacity  # full, not over-evicted
+
+
+class TestCompiledArtifactConcurrency:
+    def test_accounting_bound_and_counts_under_contention(
+        self, monkeypatch, fast_switching
+    ):
+        from repro.homomorphism.compiled import compile_component
+        from repro.planner import analyze
+
+        capacity = 4
+        monkeypatch.setattr(analyze, "COMPILED_CACHE_SIZE", capacity)
+        rng = random.Random(21)
+        n = 9
+        structure = Structure(
+            Schema.from_arities({"E": 2}),
+            {"E": {(rng.randrange(n), rng.randrange(n)) for _ in range(30)}},
+            domain=range(n),
+        )
+        # Six α-classes against four slots, each asked under fresh names.
+        shapes = [(cycle_query, k) for k in (3, 4, 5)] + [
+            (path_query, k) for k in (2, 3, 4)
+        ]
+
+        def counts(cache, prefix):
+            return [
+                cache.compiled_artifact(
+                    shape(k, prefix=prefix), structure, compile_component
+                )[0].run()
+                for shape, k in shapes
+            ]
+
+        serial = counts(analyze.PlanCache(), "serial_")
+        shared = analyze.PlanCache()
+        assert shared.compiled.max_entries == capacity
+        rounds = 15
+        results: dict[int, list] = {}
+
+        def prober(index):
+            results[index] = [
+                counts(shared, f"t{index}_{round_ % 3}_")
+                for round_ in range(rounds)
+            ]
+
+        sizes = _sample_sizes(shared.compiled, lambda: _run_threads(prober))
+        for index in range(THREADS):
+            assert results[index] == [serial] * rounds
+        stats = shared.compiled.stats()
+        assert stats["hits"] + stats["misses"] == THREADS * rounds * len(shapes)
+        assert stats["evictions"] > 0
+        assert max(sizes) <= capacity
+        assert len(shared.compiled) == capacity  # full, not over-evicted
 
 
 class _CountingCache(CountCache):

@@ -19,18 +19,23 @@ Three layers under test:
 from __future__ import annotations
 
 import json
+import shutil
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.containment_set.cache import ContainmentCache, containment_cache_key
+from repro.homomorphism import count
 from repro.homomorphism.cache import CountCache, component_cache_key
+from repro.homomorphism.delta import DeltaEvaluator
 from repro.io import structure_from_facts
 from repro.obs.metrics import Registry
-from repro.planner.analyze import PlanCache
+from repro.planner.analyze import ComponentProfile, PlanCache
 from repro.queries.parser import parse_query
+from repro.relational.structure import Delta
 from repro.shard.persist import FORMAT_VERSION, DurableCacheStore
 from repro.shard.router import (
     ConsistentHashRing,
@@ -172,24 +177,112 @@ class TestDurableContainment:
         assert (report.loaded, report.rejected) == (2, 0)
         assert fresh.lookup(key) == (True, None)
 
-    def test_schema_invalidation_drops_mentioning_verdicts(self, tmp_path):
-        store = DurableCacheStore(tmp_path)
-        cache = ContainmentCache()
+
+class TestDurableDeltas:
+    """Delta evaluation retires and re-keys count entries through
+    ``discard``/``store``; both must reach disk, or a restart restores
+    entries of superseded versions into LRU slots."""
+
+    def _evaluator(self, tmp_path, registry=None):
+        store = DurableCacheStore(tmp_path, registry=registry)
+        cache = CountCache()
         cache.attach_durable(store)
-        cache.store(
-            containment_cache_key(
-                parse_query("E(x, y)"), parse_query("E(u, v)"), "cm"
-            ),
-            (True, None),
+        structure = structure_from_facts("E(#a,b) E(b,c)")
+        return store, DeltaEvaluator(structure, "backtracking", cache)
+
+    def test_invalidating_delta_deletes_the_file(self, tmp_path):
+        registry = Registry()
+        store, evaluator = self._evaluator(tmp_path, registry)
+        assert evaluator.evaluate(parse_query("E(x, y) & E(y, z)")) == 1
+        assert store.stats()["counts"] == 1
+
+        report = evaluator.apply(Delta(inserts=[("E", ("a", "c"))]))
+        assert (report.invalidated, report.migrated) == (1, 0)
+        assert len(evaluator.cache) == 0
+        assert store.stats()["counts"] == 0
+        snapshot = registry.snapshot()
+        assert snapshot["shard.snapshot.invalidated"]["value"] == 1
+
+    def test_migrating_delta_keeps_one_file_under_the_new_key(self, tmp_path):
+        store, evaluator = self._evaluator(tmp_path)
+        query = parse_query("E(#a, x)")
+        assert evaluator.evaluate(query) == 1
+        (before,) = (tmp_path / "counts").glob("*.json")
+
+        # E(b, a) is pinned away from E(#a, x): position 0 is b, not a.
+        report = evaluator.apply(Delta(inserts=[("E", ("b", "a"))]))
+        assert (report.invalidated, report.migrated) == (0, 1)
+        (after,) = (tmp_path / "counts").glob("*.json")
+        assert after != before
+
+        fresh = CountCache()
+        restored = DurableCacheStore(tmp_path).restore_counts(fresh)
+        assert (restored.loaded, restored.rejected) == (1, 0)
+        renamed = component_cache_key(
+            parse_query("E(#a, y)"), evaluator.structure, "backtracking"
         )
-        cache.store(
-            containment_cache_key(
-                parse_query("U(x)"), parse_query("U(y)"), "cm"
-            ),
-            (True, None),
+        assert fresh.lookup(renamed) == 1
+
+
+class TestSnapshotFormatV1:
+    """``tests/fixtures/snapshot_v1`` holds one entry per tier, written by
+    the format-1 codecs when each tier still had its own code path.  An
+    existing ``--snapshot-dir`` must keep warming a new server."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "snapshot_v1"
+
+    def test_fixture_restores_and_alpha_variants_hit(self, tmp_path):
+        root = tmp_path / "snapshot"
+        shutil.copytree(self.FIXTURE, root)
+        store = DurableCacheStore(root)
+        counts, plans, verdicts = CountCache(), PlanCache(), ContainmentCache()
+        report = store.restore_all(counts, plans, verdicts)
+        assert sum(tier["loaded"] for tier in report.values()) == 3
+        assert sum(tier["rejected"] for tier in report.values()) == 0
+
+        structure = structure_from_facts("E(#a,b) E(b,c) E(c,#a) U(#a)")
+        renamed = parse_query("E(u, v) & E(v, #a)")
+        assert counts.lookup(
+            component_cache_key(renamed, structure, "backtracking")
+        ) == count(renamed, structure) == 1
+
+        profile, hit = plans.profile(
+            parse_query("E(p, q) & E(q, r) & E(r, p) & U(r)")
         )
-        cache.invalidate_relations({"E"})
-        assert store.stats()["containment"] == 1
+        assert hit
+        assert profile == ComponentProfile(
+            atom_count=4,
+            variable_count=3,
+            inequality_count=0,
+            acyclic=False,
+            treewidth_bound=2,
+            relations=(("E", 2), ("E", 2), ("E", 2), ("U", 1)),
+            join_pattern=(
+                ("E", (0, 1)),
+                ("E", (1, 2)),
+                ("E", (2, 0)),
+                ("U", (2,)),
+            ),
+        )
+
+        verdict_key = containment_cache_key(
+            parse_query("E(s1, s2) & E(s2, s3) & E(s3, s1)"),
+            parse_query("E(t1, t2) & E(t2, t1)"),
+            "backtracking",
+        )
+        assert verdicts.lookup(verdict_key) == (False, 3)
+
+    def test_reencoding_reproduces_the_files_byte_for_byte(self, tmp_path):
+        root = tmp_path / "snapshot"
+        shutil.copytree(self.FIXTURE, root)
+        counts, plans, verdicts = CountCache(), PlanCache(), ContainmentCache()
+        DurableCacheStore(root).restore_all(counts, plans, verdicts)
+        fresh = tmp_path / "resaved"
+        saved = DurableCacheStore(fresh).save_all(counts, plans, verdicts)
+        assert saved == {"counts": 1, "plans": 1, "containment": 1}
+        for original in sorted(self.FIXTURE.glob("*/*.json")):
+            resaved = fresh / original.parent.name / original.name
+            assert resaved.read_bytes() == original.read_bytes()
 
 
 # -- persistence: corruption (the snapshot-rejection discipline) -----------

@@ -5,13 +5,14 @@ Two tables, one artifact:
 * **Acyclic slice** (paths and trees on sparse random graphs, the shapes
   the paper's gadget families are made of): ``auto`` against a fixed
   backtracking choice as instances grow, at bit-identical counts.
-* **Regret** — ``auto`` against the fastest *eligible* engine, per cell,
-  in both regimes of the cost model: cyclic shapes on sparse graphs,
-  where the compiled chain wins by 50–100× over the tree-decomposition
-  DP, and a long cycle on a dense graph, where the DP wins.  Every
-  eligible engine gets a best-of-3 cold time (compiled artifacts are
-  evicted before each run, so the one-time index build is paid, as on a
-  fresh database).  The gate: every cell's ``auto`` time is at most 3×
+* **Regret** — ``auto`` against the fastest engine, per cell, in both
+  regimes of the cost model: cyclic shapes on sparse graphs, where the
+  compiled chain wins by 50–100× over the tree-decomposition DP, and a
+  long cycle on a dense graph, where the DP wins.  Every eligible engine,
+  plus the interpreted ``acyclic`` engine on acyclic cells (a reference
+  the planner never picks), gets a best-of-3 cold time (compiled
+  artifacts are evicted before each run, so the one-time index build is
+  paid, as on a fresh database).  The gate: every cell's ``auto`` time is at most 3×
   its fastest engine, and Σauto / Σbest is at most 1.5 — a cost-model
   change that brings back a 40× pick fails here.
 
@@ -211,6 +212,11 @@ def test_e16_planner_regret():
     for name, query, graph in REGRET_CELLS:
         [step] = plan(query, graph, cache=PlanCache()).steps
         engines = eligible_engines(query, step.profile, graph)
+        if step.profile.acyclic:
+            # Not a candidate (compiled covers its envelope), but still
+            # the fastest cold engine on the acyclic cells: timing it
+            # keeps the reference set honest.
+            engines += ("acyclic",)
         times: dict[str, float] = {}
         values = set()
         for engine in engines:
@@ -250,7 +256,7 @@ def test_e16_planner_regret():
     total_best = sum(cell["best_ms"] for cell in cells)
     ratio = total_auto / total_best
     print_table(
-        "E16 — planner regret: auto against the fastest eligible engine (cold ms)",
+        "E16 — planner regret: auto against the fastest timed engine (cold ms)",
         ["cell", "auto picks", "auto ms", "fastest", "fastest ms", "regret", "every engine ms"],
         rows,
     )

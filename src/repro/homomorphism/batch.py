@@ -39,12 +39,10 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
-from repro.errors import EvaluationError
 from repro.homomorphism.cache import CountCache, component_cache_key
 from repro.homomorphism.engine import Engine, _resolve_engine, count
 from repro.obs import metrics as obs_metrics
-from repro.queries.cq import ConjunctiveQuery
-from repro.queries.product import QueryProduct
+from repro.queries.product import component_terms
 
 __all__ = ["count_many"]
 
@@ -61,21 +59,6 @@ def _count_component(task: _Task) -> int:
         engine=engine,
         use_inclusion_exclusion=use_inclusion_exclusion,
     )
-
-
-def _component_terms(query):
-    """Yield ``(component, exponent)`` pairs whose counts multiply to φ(D)."""
-    if isinstance(query, QueryProduct):
-        for factor, exponent in query:
-            for component in factor.connected_components():
-                yield component, exponent
-    elif isinstance(query, ConjunctiveQuery):
-        for component in query.connected_components():
-            yield component, 1
-    else:
-        raise EvaluationError(
-            f"cannot evaluate object of type {type(query).__name__}"
-        )
 
 
 def _evaluate_schedule(
@@ -189,7 +172,7 @@ def count_many(
     tasks = 0
     for query, structure in pairs:
         entries: list[tuple[tuple, int]] = []
-        for component, exponent in _component_terms(query):
+        for component, exponent in component_terms(query):
             tasks += 1
             if engine == "auto":
                 step = select_for(component, structure)

@@ -36,7 +36,7 @@ from repro.queries.product import QueryProduct
 from repro.queries.terms import Constant, Term, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries
 
-__all__ = ["count", "evaluate", "count_ucq", "Engine"]
+__all__ = ["count", "evaluate", "count_ucq", "Engine", "ENGINE_NAMES"]
 
 Engine = Literal["backtracking", "treewidth", "acyclic", "compiled", "auto"]
 Countable = Union[ConjunctiveQuery, QueryProduct]
@@ -47,6 +47,9 @@ _ENGINES = {
     "acyclic": count_homomorphisms_acyclic,
     "compiled": count_homomorphisms_compiled,
 }
+
+#: Every name ``engine=`` accepts, in the order CLI choices list them.
+ENGINE_NAMES = ("auto", *_ENGINES)
 
 #: Guard for the opt-in inclusion-exclusion path (2^q terms).
 INCLUSION_EXCLUSION_LIMIT = 12
@@ -179,8 +182,8 @@ def _dispatch(component, structure, counter, engine: str, registry, cache=None) 
     :mod:`repro.planner` cost model assigns the concrete engine here, per
     component, and everything downstream (cache keys, dispatch counters,
     error tags) sees only that concrete engine — so an ``auto`` run that
-    selects, say, ``acyclic`` is indistinguishable from an explicit
-    ``acyclic`` run of the same component.
+    selects, say, ``compiled`` is indistinguishable from an explicit
+    ``compiled`` run of the same component.
     """
     if engine == "auto":
         from repro.planner import select_for

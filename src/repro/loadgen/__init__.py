@@ -19,17 +19,12 @@ and measures the server's response:
   results are attributable even on a shared server.
 * ``slo.py`` — declared objectives per scenario plus the regression
   check the CI gate runs against the checked-in ``BENCH_load.json``.
-* ``calibrate.py`` — fits the planner's per-engine cost scales
-  (:func:`repro.planner.fit_constants`) from measured wall time on the
-  same seeded case stream.
 
 CLI: ``bagcq loadgen`` replays scenarios, ``bagcq slo`` checks a run
-against the objectives/baseline, ``bagcq calibrate`` fits and prints
-cost constants.  Experiment E18 (``benchmarks/test_bench_e18_load.py``)
+against the objectives/baseline.  Experiment E18 (``benchmarks/test_bench_e18_load.py``)
 records the checked-in baseline.
 """
 
-from repro.loadgen.calibrate import calibrate, collect_samples
 from repro.loadgen.runner import RequestOutcome, ScenarioResult, run_scenario
 from repro.loadgen.scenarios import (
     SCENARIO_NAMES,
@@ -53,9 +48,7 @@ __all__ = [
     "ScenarioSLO",
     "ScheduledRequest",
     "build_scenario",
-    "calibrate",
     "check_regression",
-    "collect_samples",
     "evaluate_slo",
     "run_scenario",
 ]

@@ -5,10 +5,10 @@ Layered between the query algebra and the counting engines: a
 :class:`~repro.queries.product.QueryProduct`) into connected components,
 profiles each one structurally (GYO acyclicity, a greedy treewidth
 bound, sizes — memoized in a canonicalization-keyed :class:`PlanCache`),
-scores the three engines with a calibrated cost model, and returns an
-executable :class:`Plan`.  ``engine="auto"`` in
-:mod:`repro.homomorphism.engine` / ``batch`` runs these plans;
-``bagcq explain`` pretty-prints them.
+scores the three candidate engines (:data:`CANDIDATE_ENGINES`) with a
+fixed-price cost model, and returns an executable :class:`Plan`.
+``engine="auto"`` in :mod:`repro.homomorphism.engine` / ``batch`` runs
+these plans; ``bagcq explain`` pretty-prints them.
 
 See ``docs/ARCHITECTURE.md`` for where the planner sits in the stack and
 ``docs/OBSERVABILITY.md`` for the ``plan.*`` metric glossary.
@@ -21,15 +21,10 @@ from repro.planner.analyze import (
     greedy_treewidth_bound,
 )
 from repro.planner.cost import (
-    CostConstants,
+    CANDIDATE_ENGINES,
     eligible_engines,
     estimate_cost,
-    estimate_visits,
-    fit_constants,
-    get_constants,
     select_engine,
-    set_constants,
-    use_constants,
 )
 from repro.planner.plan import (
     Plan,
@@ -40,8 +35,8 @@ from repro.planner.plan import (
 )
 
 __all__ = [
+    "CANDIDATE_ENGINES",
     "ComponentProfile",
-    "CostConstants",
     "Plan",
     "PlanCache",
     "PlanStep",
@@ -49,13 +44,8 @@ __all__ = [
     "default_plan_cache",
     "eligible_engines",
     "estimate_cost",
-    "estimate_visits",
-    "fit_constants",
-    "get_constants",
     "greedy_treewidth_bound",
     "plan",
     "select_engine",
     "select_for",
-    "set_constants",
-    "use_constants",
 ]

@@ -4,8 +4,6 @@ Costs are abstract "fact visits" (roughly a microsecond each, measured
 on a 2-CPU x86-64 Linux machine), priced from the component's profile
 and from statistics of the structure it runs on:
 
-* **acyclic** (Yannakakis counting) is linear in the matching facts, with
-  a small per-atom sorting overhead;
 * **treewidth** (tree-decomposition DP) pays ``|bags| · d^(width+1)`` for
   its message tables, with a heavier per-entry constant;
 * **backtracking** scans every atom's facts once, then pays per search
@@ -15,6 +13,14 @@ and from statistics of the structure it runs on:
   is linear in the matching facts, then either the array-semiring
   Yannakakis loop (acyclic shapes, folded into the per-fact term) or a
   closure chain that pays per search node.
+
+These three are the planner's candidates (:data:`CANDIDATE_ENGINES`).
+The interpreted Yannakakis engine, **acyclic**, is not one: ``compiled``
+covers its whole envelope and undercuts its linear price whenever
+``facts + 2·atoms > 6``, and otherwise backtracking is cheaper than
+both.  It keeps a price only so that a batch run with an explicit
+``engine="acyclic"`` can pack its process pool by cost
+(:func:`estimate_cost`).
 
 **Search nodes** (:func:`chain_nodes`).  On cyclic components the node
 count is a data-aware chain estimate in the spirit of worst-case-optimal
@@ -40,22 +46,14 @@ the default engine would not are excluded up front by
 :func:`eligible_engines` — ``auto`` must be a drop-in for the default on
 every input, including the error-raising ones.
 
-**Calibration.**  The constants live in a :class:`CostConstants` value
-(the defaults are the hand-calibrated ones).  ``bagcq calibrate`` fits
-the per-engine *scale* factors from measured wall time per structural
-visit on a seeded workload (:func:`fit_constants`), and
-:func:`set_constants` / :func:`use_constants` install a fitted set —
-selection picks the engine minimizing ``scale × visits``, so scales put
-the structural estimates in one common currency (seconds, up to a
-shared normalization).  Profiles cached by the planner stay valid across
-a swap: constants enter only at selection time, never at analysis time.
+**Prices.**  The per-engine prices are fixed module constants, set by
+hand against the E16 regret benchmark (``benchmarks/BENCH_planner.json``).
+Per-engine scales fitted from measured wall time pick the same engine
+as these prices on every E16 cell, so the model carries no tunable
+state: selection is a pure function of the profile and the structure.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import Iterator
 
 from repro.homomorphism.compiled import greedy_atom_order
 from repro.planner.analyze import ComponentProfile
@@ -63,143 +61,35 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.relational.structure import Structure
 
 __all__ = [
-    "CostConstants",
+    "CANDIDATE_ENGINES",
     "chain_nodes",
     "eligible_engines",
     "estimate_cost",
-    "estimate_visits",
-    "fit_constants",
-    "get_constants",
     "select_engine",
-    "set_constants",
-    "use_constants",
 ]
 
 #: Estimates saturate here — beyond this every plan is "hopeless" alike.
 COST_CEILING = 1e18
 
-#: Deterministic tie-break: the reference engine wins equal scores.
-_PREFERENCE = {"backtracking": 0, "acyclic": 1, "treewidth": 2, "compiled": 3}
+#: The engines ``auto`` chooses among, in tie-break order: the reference
+#: engine wins equal scores.
+CANDIDATE_ENGINES = ("backtracking", "treewidth", "compiled")
 
-ENGINES = ("backtracking", "acyclic", "treewidth", "compiled")
+_PREFERENCE = {engine: rank for rank, engine in enumerate(CANDIDATE_ENGINES)}
 
-
-@dataclass(frozen=True)
-class CostConstants:
-    """Every tunable of the cost model, as one immutable value.
-
-    The ``*_base`` / ``*_per_*`` fields shape each engine's *structural*
-    visit estimate; the ``*_scale`` fields convert visits to a common
-    currency (fitted by ``bagcq calibrate``, 1.0 when uncalibrated).
-    """
-
-    acyclic_base: float = 24.0
-    acyclic_per_fact: float = 2.0
-    acyclic_per_atom: float = 4.0
-    treewidth_base: float = 60.0
-    treewidth_per_entry: float = 6.0
-    backtracking_base: float = 10.0
-    backtracking_per_fact: float = 1.0
-    backtracking_per_node: float = 2.0
-    compiled_base: float = 30.0
-    compiled_per_fact: float = 1.0
-    compiled_per_atom: float = 2.0
-    compiled_per_node: float = 0.5
-    acyclic_scale: float = 1.0
-    treewidth_scale: float = 1.0
-    backtracking_scale: float = 1.0
-    compiled_scale: float = 1.0
-
-    def scale(self, engine: str) -> float:
-        if engine not in ENGINES:
-            raise ValueError(f"no cost model for engine {engine!r}")
-        return getattr(self, f"{engine}_scale")
-
-    def to_dict(self) -> dict:
-        """A plain JSON-serializable mapping (field name → value)."""
-        return {field.name: getattr(self, field.name) for field in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CostConstants":
-        """Rebuild from :meth:`to_dict` output; unknown keys rejected,
-        missing keys default — so artifacts from older calibrations load
-        as long as they only *lack* fields."""
-        known = {field.name for field in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown cost constant(s): {', '.join(sorted(unknown))}"
-            )
-        values = {key: float(value) for key, value in data.items()}
-        constants = cls(**values)
-        for field in fields(cls):
-            if getattr(constants, field.name) <= 0:
-                raise ValueError(
-                    f"cost constant {field.name} must be positive"
-                )
-        return constants
-
-
-_DEFAULT_CONSTANTS = CostConstants()
-_current_constants = _DEFAULT_CONSTANTS
-
-
-def get_constants() -> CostConstants:
-    """The constants the planner is currently selecting with."""
-    return _current_constants
-
-
-def set_constants(constants: CostConstants | None) -> None:
-    """Install ``constants`` process-wide (``None`` restores defaults)."""
-    global _current_constants
-    _current_constants = constants or _DEFAULT_CONSTANTS
-
-
-@contextmanager
-def use_constants(constants: CostConstants) -> Iterator[CostConstants]:
-    """Temporarily install ``constants`` (tests, what-if EXPLAINs)."""
-    previous = _current_constants
-    set_constants(constants)
-    try:
-        yield constants
-    finally:
-        set_constants(previous)
-
-
-def fit_constants(
-    samples: list[tuple[str, float, float]],
-    base: CostConstants | None = None,
-) -> CostConstants:
-    """Fit per-engine scales from ``(engine, visits, seconds)`` samples.
-
-    Each engine's seconds-per-visit rate is the ratio of totals (robust
-    to a few noisy samples), normalized so ``backtracking_scale`` stays
-    1.0 — only *relative* rates matter to selection.  Engines with no
-    samples (or degenerate ones) keep their ``base`` scale.
-    """
-    base = base or _DEFAULT_CONSTANTS
-    visit_totals: dict[str, float] = {}
-    second_totals: dict[str, float] = {}
-    for engine, visits, seconds in samples:
-        if engine not in ENGINES:
-            raise ValueError(f"no cost model for engine {engine!r}")
-        if visits <= 0 or seconds <= 0:
-            continue
-        visit_totals[engine] = visit_totals.get(engine, 0.0) + visits
-        second_totals[engine] = second_totals.get(engine, 0.0) + seconds
-    rates = {
-        engine: second_totals[engine] / visit_totals[engine]
-        for engine in visit_totals
-    }
-    reference = rates.get("backtracking")
-    if reference is None or reference <= 0:
-        # Without the reference engine there is nothing to normalize
-        # against; keep whatever the base carried.
-        return base
-    updates = {
-        f"{engine}_scale": rate / reference for engine, rate in rates.items()
-    }
-    return replace(base, **updates)
+# Per-engine prices, in fact visits.
+_ACYCLIC_BASE = 24.0
+_ACYCLIC_PER_FACT = 2.0
+_ACYCLIC_PER_ATOM = 4.0
+_TREEWIDTH_BASE = 60.0
+_TREEWIDTH_PER_ENTRY = 6.0
+_BACKTRACKING_BASE = 10.0
+_BACKTRACKING_PER_FACT = 1.0
+_BACKTRACKING_PER_NODE = 2.0
+_COMPILED_BASE = 30.0
+_COMPILED_PER_FACT = 1.0
+_COMPILED_PER_ATOM = 2.0
+_COMPILED_PER_NODE = 0.5
 
 
 def _saturating_power(base: float, exponent: int) -> float:
@@ -280,16 +170,13 @@ def eligible_engines(
     profile: ComponentProfile,
     structure: Structure,
 ) -> tuple[str, ...]:
-    """Engines that are *safe* for this component on this structure.
+    """The candidate engines that are *safe* for this component here.
 
     Safe means: same exact count, and no error the backtracking engine
     would not also raise.  ``backtracking`` and ``treewidth`` are total
     (and agree on every error class: uninterpreted constants raise
     :class:`~repro.errors.ConstantError`, arity mismatches raise
-    :class:`~repro.errors.EvaluationError`).  ``acyclic`` additionally
-    requires an inequality-free, GYO-reducible component whose constants
-    the structure interprets and whose atom arities match the structure's
-    schema — outside that envelope it raises where the others would not.
+    :class:`~repro.errors.EvaluationError`).
 
     ``compiled`` is *total* (it falls back to the interpreter outside
     its envelope), but the planner still gates it on the specializer's
@@ -298,7 +185,6 @@ def eligible_engines(
     the closure chain) — so that selecting it always means actually
     compiling, never a silent round-trip through the fallback.
     """
-    engines = ["backtracking", "treewidth"]
     specializable = (
         profile.inequality_count == 0
         and all(
@@ -311,18 +197,15 @@ def eligible_engines(
             for relation, arity in profile.relations
         )
     )
-    if specializable and profile.acyclic:
-        engines.append("acyclic")
     if specializable:
-        engines.append("compiled")
-    return tuple(engines)
+        return CANDIDATE_ENGINES
+    return ("backtracking", "treewidth")
 
 
 def _visits(
     engines,
     profile: ComponentProfile,
     structure: Structure,
-    constants: CostConstants,
 ) -> tuple[dict[str, float], float | None]:
     """``({engine: visits}, est_nodes)`` with the shared inputs computed once.
 
@@ -356,9 +239,9 @@ def _visits(
     for engine in engines:
         if engine == "acyclic":
             visits[engine] = (
-                constants.acyclic_base
-                + constants.acyclic_per_fact * facts
-                + constants.acyclic_per_atom * profile.atom_count
+                _ACYCLIC_BASE
+                + _ACYCLIC_PER_FACT * facts
+                + _ACYCLIC_PER_ATOM * profile.atom_count
             )
         elif engine == "treewidth":
             table = _saturating_power(
@@ -366,17 +249,16 @@ def _visits(
             )
             bags = max(profile.variable_count, 1)
             visits[engine] = (
-                constants.treewidth_base
-                + constants.treewidth_per_entry * bags * table
+                _TREEWIDTH_BASE + _TREEWIDTH_PER_ENTRY * bags * table
             )
         elif engine == "backtracking":
             # Every atom's facts are scanned at least once (the match
             # cache fills per binding), then each search node pays an
             # interpreted fail-first step, priced above a chain step.
             visits[engine] = (
-                constants.backtracking_base
-                + constants.backtracking_per_fact * facts
-                + constants.backtracking_per_node * nodes
+                _BACKTRACKING_BASE
+                + _BACKTRACKING_PER_FACT * facts
+                + _BACKTRACKING_PER_NODE * nodes
             )
         elif engine == "compiled":
             # Index build: linear in the facts, plus a per-atom closure /
@@ -385,12 +267,12 @@ def _visits(
             # chain's nodes for cyclic ones, each a hash lookup instead
             # of the interpreter's fact scan.
             build = (
-                constants.compiled_base
-                + constants.compiled_per_fact * facts
-                + constants.compiled_per_atom * profile.atom_count
+                _COMPILED_BASE
+                + _COMPILED_PER_FACT * facts
+                + _COMPILED_PER_ATOM * profile.atom_count
             )
             if not profile.acyclic:
-                build += constants.compiled_per_node * nodes
+                build += _COMPILED_PER_NODE * nodes
             visits[engine] = build
         else:
             raise ValueError(f"no cost model for engine {engine!r}")
@@ -398,43 +280,24 @@ def _visits(
     return visits, est_nodes
 
 
-def estimate_visits(
-    engine: str,
-    profile: ComponentProfile,
-    structure: Structure,
-    constants: CostConstants | None = None,
-) -> float:
-    """The *structural* visit estimate of ``engine``, before scaling.
-
-    This is the quantity ``bagcq calibrate`` pairs with measured wall
-    time: seconds ≈ scale × visits.  It is exactly what
-    :func:`select_engine` scores ``engine`` with.
-    """
-    constants = constants or _current_constants
-    visits, _ = _visits((engine,), profile, structure, constants)
-    return visits[engine]
-
-
 def estimate_cost(
     engine: str,
     profile: ComponentProfile,
     structure: Structure,
-    constants: CostConstants | None = None,
 ) -> float:
-    """Predicted cost of ``engine`` on the component: scale × visits."""
-    constants = constants or _current_constants
-    return min(
-        constants.scale(engine)
-        * estimate_visits(engine, profile, structure, constants),
-        COST_CEILING,
-    )
+    """Predicted cost of ``engine`` on the component, in fact visits.
+
+    Exactly what :func:`select_engine` scores ``engine`` with; batch
+    evaluation packs its process pool by it, for explicit engines too.
+    """
+    visits, _ = _visits((engine,), profile, structure)
+    return visits[engine]
 
 
 def select_engine(
     component: ConjunctiveQuery,
     profile: ComponentProfile,
     structure: Structure,
-    constants: CostConstants | None = None,
 ) -> tuple[str, float, float | None]:
     """The cheapest safe engine: ``(engine, est_cost, est_nodes)``.
 
@@ -442,14 +305,7 @@ def select_engine(
     compiled-chain costs (``None`` for acyclic components, see
     :func:`_visits`); EXPLAIN shows it next to the cost.
     """
-    constants = constants or _current_constants
     engines = eligible_engines(component, profile, structure)
-    visits, est_nodes = _visits(engines, profile, structure, constants)
-    best: tuple[float, int, str] | None = None
-    for engine in engines:
-        cost = min(constants.scale(engine) * visits[engine], COST_CEILING)
-        candidate = (cost, _PREFERENCE[engine], engine)
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None  # backtracking is always eligible
-    return best[2], best[0], est_nodes
+    visits, est_nodes = _visits(engines, profile, structure)
+    engine = min(engines, key=lambda name: (visits[name], _PREFERENCE[name]))
+    return engine, visits[engine], est_nodes

@@ -15,8 +15,8 @@ counter family at zero (the convention ``repro.qa`` established for
 * ``plan.components`` — component selections performed (cached or not);
 * ``plan.cache_hits`` / ``plan.cache_misses`` — :class:`PlanCache`
   profile lookups;
-* ``plan.selected.backtracking`` / ``.treewidth`` / ``.acyclic`` /
-  ``.compiled`` — which engine won;
+* ``plan.selected.backtracking`` / ``.treewidth`` / ``.compiled`` —
+  which candidate engine won;
 * ``plan.compile.builds`` / ``plan.compile.cache_hits`` /
   ``plan.compile.cache_misses`` — compiled-artifact traffic in the
   :class:`PlanCache` (see :mod:`repro.homomorphism.compiled`).
@@ -31,13 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from repro.errors import EvaluationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.planner.analyze import ComponentProfile, PlanCache
-from repro.planner.cost import select_engine
+from repro.planner.cost import CANDIDATE_ENGINES, select_engine
 from repro.queries.cq import ConjunctiveQuery
-from repro.queries.product import QueryProduct
+from repro.queries.product import QueryProduct, component_terms
 from repro.relational.structure import Structure
 
 __all__ = [
@@ -58,10 +57,7 @@ _PLAN_COUNTERS = (
     "plan.cache_hits",
     "plan.cache_misses",
     "plan.cache_evictions",
-    "plan.selected.backtracking",
-    "plan.selected.treewidth",
-    "plan.selected.acyclic",
-    "plan.selected.compiled",
+    *(f"plan.selected.{engine}" for engine in CANDIDATE_ENGINES),
     "plan.compile.builds",
     "plan.compile.cache_hits",
     "plan.compile.cache_misses",
@@ -191,6 +187,26 @@ class Plan:
         }
 
 
+def _select(
+    component: ConjunctiveQuery,
+    profile: ComponentProfile,
+    structure: Structure,
+    exponent: int = 1,
+) -> PlanStep:
+    """Score one profiled component and count the pick."""
+    engine, est_cost, est_nodes = select_engine(component, profile, structure)
+    obs_metrics.add("plan.components")
+    obs_metrics.add(f"plan.selected.{engine}")
+    return PlanStep(
+        component=component,
+        engine=engine,
+        est_cost=est_cost,
+        profile=profile,
+        exponent=exponent,
+        est_nodes=est_nodes,
+    )
+
+
 def select_for(
     component: ConjunctiveQuery,
     structure: Structure,
@@ -204,32 +220,8 @@ def select_for(
     """
     _preregister_counters()
     plan_cache = cache if cache is not None else _DEFAULT_PLAN_CACHE
-    profile, was_hit = plan_cache.profile(component)
-    engine, est_cost, est_nodes = select_engine(component, profile, structure)
-    obs_metrics.add("plan.components")
-    obs_metrics.add(f"plan.selected.{engine}")
-    return PlanStep(
-        component=component,
-        engine=engine,
-        est_cost=est_cost,
-        profile=profile,
-        exponent=1,
-        est_nodes=est_nodes,
-    )
-
-
-def _component_terms(query: Plannable):
-    if isinstance(query, QueryProduct):
-        for factor, exponent in query:
-            for component in factor.connected_components():
-                yield component, exponent
-    elif isinstance(query, ConjunctiveQuery):
-        for component in query.connected_components():
-            yield component, 1
-    else:
-        raise EvaluationError(
-            f"cannot plan object of type {type(query).__name__}"
-        )
+    profile, _ = plan_cache.profile(component)
+    return _select(component, profile, structure)
 
 
 def plan(
@@ -250,36 +242,23 @@ def plan(
     hits_before, misses_before = plan_cache.hits, plan_cache.misses
 
     with span("plan.analyze") as analyze_span:
-        analyzed: list[tuple[ConjunctiveQuery, int, ComponentProfile]] = []
-        for component, exponent in _component_terms(query):
-            profile, _ = plan_cache.profile(component)
-            analyzed.append((component, exponent, profile))
+        analyzed = [
+            (component, exponent, plan_cache.profile(component)[0])
+            for component, exponent in component_terms(query, "plan")
+        ]
         analyze_span.set(components=len(analyzed))
 
     with span("plan.select") as select_span:
-        steps = []
-        for component, exponent, profile in analyzed:
-            engine, est_cost, est_nodes = select_engine(
-                component, profile, structure
-            )
-            obs_metrics.add("plan.components")
-            obs_metrics.add(f"plan.selected.{engine}")
-            steps.append(
-                PlanStep(
-                    component=component,
-                    engine=engine,
-                    est_cost=est_cost,
-                    profile=profile,
-                    exponent=exponent,
-                    est_nodes=est_nodes,
-                )
-            )
+        steps = tuple(
+            _select(component, profile, structure, exponent)
+            for component, exponent, profile in analyzed
+        )
         select_span.set(
             engines=",".join(sorted({step.engine for step in steps}))
         )
 
     return Plan(
-        steps=tuple(steps),
+        steps=steps,
         cache_hits=plan_cache.hits - hits_before,
         cache_misses=plan_cache.misses - misses_before,
     )

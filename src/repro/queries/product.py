@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.errors import MaterializationError, QueryError
+from repro.errors import EvaluationError, MaterializationError, QueryError
 from repro.queries.cq import ConjunctiveQuery
 from repro.relational.schema import Schema
 
-__all__ = ["QueryProduct"]
+__all__ = ["QueryProduct", "component_terms"]
 
 #: Default budget (in atoms) for :meth:`QueryProduct.materialize`.
 DEFAULT_MATERIALIZE_BUDGET = 100_000
@@ -181,3 +181,27 @@ class QueryProduct:
 
     def __repr__(self) -> str:
         return f"QueryProduct(factors={len(self._factors)}, atoms={self.total_atom_count})"
+
+
+def component_terms(
+    query: "ConjunctiveQuery | QueryProduct", action: str = "evaluate"
+) -> Iterator[tuple[ConjunctiveQuery, int]]:
+    """``(component, exponent)`` pairs whose counts multiply to ``query(D)``.
+
+    The connected components of a plain query with exponent 1, or of
+    each factor of a :class:`QueryProduct` with the factor's exponent
+    (Lemma 1, Definition 2).  Any other object raises
+    :class:`~repro.errors.EvaluationError` naming the caller's
+    ``action``.
+    """
+    if isinstance(query, QueryProduct):
+        for factor, exponent in query:
+            for component in factor.connected_components():
+                yield component, exponent
+    elif isinstance(query, ConjunctiveQuery):
+        for component in query.connected_components():
+            yield component, 1
+    else:
+        raise EvaluationError(
+            f"cannot {action} object of type {type(query).__name__}"
+        )

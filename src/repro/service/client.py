@@ -3,8 +3,9 @@
 Retry policy: connection-level failures (refused, reset, dropped) and
 retryable protocol kinds (``overloaded``, ``shutting_down``) are retried
 up to ``retries`` times with exponential backoff and full jitter; a
-server ``Retry-After`` hint (header or envelope field) overrides the
-computed backoff for that attempt.  Everything else — library errors,
+server ``Retry-After`` hint (header or envelope field) is a floor under
+the computed backoff for that attempt, so clients shed at the same
+moment still spread their retries out.  Everything else — library errors,
 bad requests, deadline exhaustion — is surfaced immediately as a typed
 exception carrying the envelope's ``kind``, because retrying a
 deterministic failure only wastes the server's admission budget.
@@ -358,10 +359,13 @@ class ServiceClient:
         return self._request("POST", endpoint, body)
 
     def _backoff(self, attempt: int, hint: float | None) -> float:
-        if hint is not None and hint >= 0:
-            return hint
         ceiling = min(self.backoff_cap_s, self.backoff_s * (2**attempt))
-        return self._rng.uniform(0, ceiling)  # full jitter
+        delay = self._rng.uniform(0, ceiling)  # full jitter
+        if hint is not None and hint >= 0:
+            # The hint is a floor, not the delay: clients shed together
+            # must not all wake together after the same hint.
+            return max(hint, delay)
+        return delay
 
     def _request(self, method: str, endpoint: str, body: dict | None) -> dict:
         url = f"{self.base_url}/{endpoint}"

@@ -42,8 +42,6 @@ from repro.service.protocol import PROTOCOL_VERSION, BadRequestError, request_ke
 
 __all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
 
-_ENGINES = ("auto", "backtracking", "treewidth", "acyclic", "compiled")
-
 
 @dataclass(frozen=True)
 class ParsedRequest:

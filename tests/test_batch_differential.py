@@ -106,6 +106,15 @@ def test_count_many_matches_serial_per_engine(engine):
         assert count_many(pairs, engine=engine, cache=cache) == serial
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_explicit_acyclic_pool_is_priced_and_exact(workers):
+    # The planner never picks acyclic, but a pool run with it explicitly
+    # still packs by its cost estimate, which must exist.
+    pairs = [(q, d) for q, d in CORPUS if _supports(q, "acyclic")][:40]
+    serial = [count(q, d, engine="acyclic") for q, d in pairs]
+    assert count_many(pairs, engine="acyclic", workers=workers, cache=False) == serial
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_count_many_workers_bit_identical(workers):
     serial = [count(q, d) for q, d in CORPUS]

@@ -14,7 +14,6 @@ Two properties carry the subsystem:
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -29,12 +28,10 @@ from repro.planner import (
     analyze_component,
     eligible_engines,
     estimate_cost,
-    get_constants,
     greedy_treewidth_bound,
     plan,
     select_engine,
     select_for,
-    use_constants,
 )
 from repro.planner.analyze import CONSTANT_TERM
 from repro.qa.generators import case_at
@@ -235,13 +232,6 @@ class TestSelection:
         engine, _, _ = select_engine(query, analyze_component(query), dense)
         assert engine == "compiled"
 
-    def test_long_path_prefers_acyclic_when_compiled_priced_out(self, dense):
-        query = path_query(5)
-        expensive = replace(get_constants(), compiled_scale=1e6)
-        with use_constants(expensive):
-            engine, _, _ = select_engine(query, analyze_component(query), dense)
-        assert engine == "acyclic"
-
     def test_dense_cycle_prefers_treewidth(self, dense):
         query = cycle_query(6)
         engine, _, _ = select_engine(query, analyze_component(query), dense)
@@ -250,7 +240,7 @@ class TestSelection:
     def test_estimates_are_finite_and_positive(self, dense):
         query = cycle_query(12)
         profile = analyze_component(query)
-        for engine in ("backtracking", "treewidth", "acyclic"):
+        for engine in ("backtracking", "treewidth"):
             cost = estimate_cost(engine, profile, dense)
             assert 0 < cost <= 1e18
 
@@ -328,6 +318,54 @@ class TestRegimes:
         assert step.est_nodes is not None
         assert step.est_nodes < 10_000
         assert select_for(path_query(4), graph).est_nodes is None
+
+
+class TestDataAwareCosts:
+    """``est_cost`` prices the data, and is exactly what selection scores."""
+
+    def test_cyclic_visits_use_the_fanout_chain(self):
+        graph = REGIME_GRAPHS["sparse40"]
+        query = cycle_query(5)
+        profile = analyze_component(query)
+        engines = eligible_engines(query, profile, graph)
+        costs = {
+            engine: estimate_cost(engine, profile, graph) for engine in engines
+        }
+        worst_case = 40.0**5  # min(d^vars, Π|R|) on this graph
+        assert set(costs) == {"backtracking", "treewidth", "compiled"}
+        assert costs["backtracking"] < worst_case / 1000
+        assert costs["compiled"] < costs["treewidth"]
+
+    def test_est_cost_is_what_selection_scores(self):
+        graph = REGIME_GRAPHS["sparse40"]
+        engine, est_cost, est_nodes = select_engine(
+            BOWTIE, analyze_component(BOWTIE), graph
+        )
+        assert est_nodes is not None
+        assert est_cost == estimate_cost(
+            engine, analyze_component(BOWTIE), graph
+        )
+
+
+class TestAcyclicReference:
+    """The interpreted Yannakakis engine is a reference, never a pick."""
+
+    def test_acyclic_is_never_eligible_and_auto_matches_it(self):
+        for graph in REGIME_GRAPHS.values():
+            for query in (path_query(3), path_query(6), TREE):
+                profile = analyze_component(query)
+                assert profile.acyclic
+                assert "acyclic" not in eligible_engines(query, profile, graph)
+                assert count(query, graph, engine="auto") == count(
+                    query, graph, engine="acyclic"
+                )
+        for case in (case_at(index, seed=0) for index in range(200)):
+            if case.kind != "cq" or case.query is None:
+                continue
+            for component in case.query.connected_components():
+                profile = analyze_component(component)
+                engines = eligible_engines(component, profile, case.structure)
+                assert "acyclic" not in engines
 
 
 class TestPackingPrices:
@@ -480,7 +518,7 @@ class TestPlanCounters:
             "plan.cache_misses",
             "plan.selected.backtracking",
             "plan.selected.treewidth",
-            "plan.selected.acyclic",
+            "plan.selected.compiled",
         ):
             assert name in metrics, f"{name} not pre-registered"
         assert metrics["plan.calls"]["value"] == 1
@@ -493,7 +531,7 @@ class TestPlanCounters:
         metrics = observation.report()["metrics"]
         selected = sum(
             metrics[f"plan.selected.{name}"]["value"]
-            for name in ("backtracking", "treewidth", "acyclic", "compiled")
+            for name in ("backtracking", "treewidth", "compiled")
         )
         assert selected == 1
         assert metrics["plan.components"]["value"] == 1

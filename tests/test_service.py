@@ -522,6 +522,13 @@ class TestClientRetry:
             httpd.shutdown()
             httpd.server_close()
 
+    def test_retry_after_hint_is_a_floor_under_jittered_backoff(self):
+        """A 10 ms hint must not collapse eight retries into 80 ms."""
+        client = ServiceClient("http://127.0.0.1:1", retries=8, seed=7)
+        delays = [client._backoff(attempt, 0.01) for attempt in range(8)]
+        assert all(delay >= 0.01 for delay in delays)
+        assert sum(delays) > 0.08
+
     def test_unreachable_raises_service_unavailable(self):
         client = ServiceClient(
             "http://127.0.0.1:1", retries=1, backoff_s=0.001, seed=0
